@@ -128,7 +128,8 @@ def warmup_quantile(config: ExperimentConfig, seed: int, alpha: float) -> float:
     env = OptStopEnv(config.env_params())
     feats = policy_feature_map(config, include_s=False)
     theta0 = np.zeros(feats.dim)
-    batch = rollout_batch(env, feats, theta0, seed, ("warmup",), config.train_warmup_rollouts)
+    batch = rollout_batch(env, feats, theta0, seed, ("warmup",), config.train_warmup_rollouts,
+                          with_scores=False)
     return value_at_risk(EmpiricalDistribution(batch.losses), alpha)
 
 
@@ -136,7 +137,6 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
     algorithm = config.algorithm
     risk = config.risk_spec()
     env = OptStopEnv(config.env_params())
-    threads = thread_count()
 
     if algorithm in ("PG", "PG_CVAR"):
         risk_neutral = algorithm == "PG"
@@ -146,16 +146,10 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         lam0 = 0.0 if risk_neutral else 1.0
         n = config.pg_batch_size
 
+        # one thread: a pool per small batch costs more than it saves
         def sampler(theta, round_idx, iter_idx):
-            path = ("pg", round_idx, iter_idx)
-            parts = _sharded(
-                lambda j0, cnt: rollout_batch(env, feats, theta, seed, path, cnt, j0),
-                n,
-                threads,
-            )
-            losses = np.concatenate([p.losses for p in parts])
-            scores = np.concatenate([p.scores for p in parts])
-            return losses, scores
+            batch = rollout_batch(env, feats, theta, seed, ("pg", round_idx, iter_idx), n)
+            return batch.losses, batch.scores
 
         stack = config.pg_stack()
         result: PgResult = pg_train(
@@ -248,14 +242,14 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
     if trained.algorithm in ("PG", "PG_CVAR"):
         feats = policy_feature_map(config, include_s=False)
         kernel = lambda j0, cnt: rollout_batch(
-            env, feats, trained.theta, seed, ("eval",), cnt, j0
+            env, feats, trained.theta, seed, ("eval",), cnt, j0, with_scores=False
         )
     else:
         include_s = trained.algorithm != "AC"
         feats = policy_feature_map(config, include_s=include_s, incremental=True)
         s0 = trained.nu if include_s else 0.0
         kernel = lambda j0, cnt: rollout_batch_augmented(
-            env, feats, trained.theta, s0, seed, ("eval",), cnt, j0
+            env, feats, trained.theta, s0, seed, ("eval",), cnt, j0, with_scores=False
         )
     parts = _sharded(kernel, episodes, threads)
     losses = np.concatenate([p.losses for p in parts])

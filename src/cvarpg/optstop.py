@@ -228,7 +228,7 @@ class BatchRollouts:
     """Lockstep simulation results for a batch of episodes."""
 
     losses: np.ndarray       # raw discounted environment loss D per episode
-    scores: np.ndarray       # likelihood-ratio score per episode
+    scores: np.ndarray       # likelihood-ratio score per episode; (n, 0) if skipped
     lengths: np.ndarray      # decision steps until termination
     final_budgets: np.ndarray | None = None  # s at the terminal state, augmented runs
 
@@ -248,6 +248,76 @@ def _pre_draw(seed: int, path: tuple, n: int, T: int, j0: int = 0) -> np.ndarray
     return u
 
 
+# Alive episodes are processed in blocks of this many rows at each lockstep
+# step, so the (rows, 2, dim) per-action array and the RBF temporaries stay
+# bounded whatever the batch size. Every row's arithmetic is the same in any
+# block, so the block size changes no result.
+ROLLOUT_BLOCK = 4096
+
+
+def _rollout(
+    env: OptStopEnv,
+    feats: OptStopPolicyFeatures,
+    theta: np.ndarray,
+    s0: float | None,
+    seed: int,
+    path: tuple,
+    n: int,
+    j0: int,
+    with_scores: bool,
+) -> BatchRollouts:
+    """Lockstep kernel behind both public rollouts; ``s0=None`` is the raw env."""
+    p = env.params
+    theta = np.asarray(theta, dtype=float)
+    u = _pre_draw(seed, path, n, p.T, j0)
+    c = np.full(n, p.c0)
+    s = None if s0 is None else np.full(n, s0)
+    final_s = None if s0 is None else np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    losses = np.zeros(n)
+    scores = np.zeros((n, theta.size if with_scores else 0))
+    lengths = np.zeros(n, dtype=np.int64)
+    disc = 1.0
+    for k in range(p.T + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        if k == p.T:
+            losses[idx] += disc * c[idx]
+            if s is not None:
+                final_s[idx] = (s[idx] - c[idx]) / p.gamma
+            lengths[idx] = k + 1
+            break
+        accepted = np.empty(idx.size, dtype=bool)
+        for lo in range(0, idx.size, ROLLOUT_BLOCK):
+            rows = idx[lo:lo + ROLLOUT_BLOCK]
+            budget = s[rows] if s is not None and feats.include_s else None
+            fa = feats.per_action_batch(c[rows], k, budget)  # (m, 2, dim)
+            logits = fa @ theta
+            logits -= logits.max(axis=1, keepdims=True)
+            e = np.exp(logits)
+            probs = e / e.sum(axis=1, keepdims=True)
+            act = (u[rows, 2 * k] >= probs[:, ACCEPT]).astype(np.int64)
+            if with_scores:
+                glp = fa[np.arange(rows.size), act] - np.einsum("ma,maf->mf", probs, fa)
+                scores[rows] += glp
+            accepted[lo:lo + rows.size] = act == ACCEPT
+        acc_idx = idx[accepted]
+        losses[acc_idx] += disc * c[acc_idx]
+        if s is not None:
+            final_s[acc_idx] = (s[acc_idx] - c[acc_idx]) / p.gamma
+        lengths[acc_idx] = k + 1
+        alive[acc_idx] = False
+        wait_idx = idx[~accepted]
+        losses[wait_idx] += disc * p.p_h
+        if s is not None:
+            s[wait_idx] = (s[wait_idx] - p.p_h) / p.gamma
+        up = u[wait_idx, 2 * k + 1] < p.p
+        c[wait_idx] *= np.where(up, p.f_u, p.f_d)
+        disc *= p.gamma
+    return BatchRollouts(losses, scores, lengths, final_s)
+
+
 def rollout_batch(
     env: OptStopEnv,
     feats: OptStopPolicyFeatures,
@@ -256,44 +326,14 @@ def rollout_batch(
     path: tuple,
     n: int,
     j0: int = 0,
+    with_scores: bool = True,
 ) -> BatchRollouts:
-    """Vectorized episodes of the raw environment under one parameter vector."""
-    p = env.params
-    theta = np.asarray(theta, dtype=float)
-    u = _pre_draw(seed, path, n, p.T, j0)
-    c = np.full(n, p.c0)
-    alive = np.ones(n, dtype=bool)
-    losses = np.zeros(n)
-    scores = np.zeros((n, theta.size))
-    lengths = np.zeros(n, dtype=np.int64)
-    disc = 1.0
-    for k in range(p.T + 1):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        if k == p.T:
-            losses[idx] += disc * c[idx]
-            lengths[idx] = k + 1
-            break
-        fa = feats.per_action_batch(c[idx], k)  # (m, 2, dim)
-        logits = fa @ theta
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        probs = e / e.sum(axis=1, keepdims=True)
-        act = (u[idx, 2 * k] >= probs[:, ACCEPT]).astype(np.int64)
-        glp = fa[np.arange(len(idx)), act] - np.einsum("ma,maf->mf", probs, fa)
-        scores[idx] += glp
-        accepted = act == ACCEPT
-        acc_idx = idx[accepted]
-        losses[acc_idx] += disc * c[acc_idx]
-        lengths[acc_idx] = k + 1
-        alive[acc_idx] = False
-        wait_idx = idx[~accepted]
-        losses[wait_idx] += disc * p.p_h
-        up = u[wait_idx, 2 * k + 1] < p.p
-        c[wait_idx] *= np.where(up, p.f_u, p.f_d)
-        disc *= p.gamma
-    return BatchRollouts(losses, scores, lengths)
+    """Vectorized episodes of the raw environment under one parameter vector.
+
+    ``with_scores=False`` skips the likelihood-ratio scores, which only
+    gradient estimates read; ``scores`` is then an empty (n, 0) array.
+    """
+    return _rollout(env, feats, theta, None, seed, path, n, j0, with_scores)
 
 
 def rollout_batch_augmented(
@@ -305,57 +345,15 @@ def rollout_batch_augmented(
     path: tuple,
     n: int,
     j0: int = 0,
+    with_scores: bool = True,
 ) -> BatchRollouts:
     """Vectorized episodes of the budget-augmented environment.
 
     Losses reported are the raw environment losses D (the terminal
     penalty is a deterministic function of the final budget, returned
-    separately).
+    separately). ``with_scores`` is as in ``rollout_batch``.
     """
-    p = env.params
-    theta = np.asarray(theta, dtype=float)
-    u = _pre_draw(seed, path, n, p.T, j0)
-    c = np.full(n, p.c0)
-    s = np.full(n, float(s0))
-    alive = np.ones(n, dtype=bool)
-    losses = np.zeros(n)
-    scores = np.zeros((n, theta.size))
-    lengths = np.zeros(n, dtype=np.int64)
-    final_s = np.zeros(n)
-    disc = 1.0
-    for k in range(p.T + 1):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        if k == p.T:
-            losses[idx] += disc * c[idx]
-            final_s[idx] = (s[idx] - c[idx]) / p.gamma
-            lengths[idx] = k + 1
-            break
-        if feats.include_s:
-            fa = feats.per_action_batch(c[idx], k, s[idx])
-        else:
-            fa = feats.per_action_batch(c[idx], k)
-        logits = fa @ theta
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        probs = e / e.sum(axis=1, keepdims=True)
-        act = (u[idx, 2 * k] >= probs[:, ACCEPT]).astype(np.int64)
-        glp = fa[np.arange(len(idx)), act] - np.einsum("ma,maf->mf", probs, fa)
-        scores[idx] += glp
-        accepted = act == ACCEPT
-        acc_idx = idx[accepted]
-        losses[acc_idx] += disc * c[acc_idx]
-        final_s[acc_idx] = (s[acc_idx] - c[acc_idx]) / p.gamma
-        lengths[acc_idx] = k + 1
-        alive[acc_idx] = False
-        wait_idx = idx[~accepted]
-        losses[wait_idx] += disc * p.p_h
-        s[wait_idx] = (s[wait_idx] - p.p_h) / p.gamma
-        up = u[wait_idx, 2 * k + 1] < p.p
-        c[wait_idx] *= np.where(up, p.f_u, p.f_d)
-        disc *= p.gamma
-    return BatchRollouts(losses, scores, lengths, final_s)
+    return _rollout(env, feats, theta, float(s0), seed, path, n, j0, with_scores)
 
 
 def enumerate_loss_distribution(

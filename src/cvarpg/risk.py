@@ -1,14 +1,18 @@
 """Risk measures on empirical loss distributions.
 
 Losses are positive-bad, so value-at-risk and conditional value-at-risk
-look at the right tail. CVaR is computed through the Rockafellar-Uryasev
+look at the right tail. CVaR is the minimum of the Rockafellar-Uryasev
 surrogate
 
     H(nu) = nu + E[(Z - nu)^+] / (1 - alpha),
 
-whose minimum over nu equals CVaR and is attained at a sample point for
-any finite distribution. Minimizing H over the sample points handles
-probability atoms correctly, unlike naive tail averaging.
+which is convex and piecewise linear in nu, with right derivative
+1 - P(Z > nu) / (1 - alpha). That slope is negative exactly where
+F(nu) < alpha, so H falls up to the alpha-quantile VaR and does not fall
+after it: the minimum is H(VaR). ``cvar`` therefore sorts once for the
+quantile and evaluates H there, in O(n log n) time and O(n) memory.
+Evaluating H, rather than averaging the samples above VaR, weights the
+atom at VaR by exactly the share of it that lies in the tail.
 
 Reference:
     Rockafellar, R.T. & Uryasev, S. (2000). Optimization of Conditional
@@ -118,13 +122,15 @@ def h_alpha(dist: EmpiricalDistribution, nu: float, alpha: float) -> float:
 
 
 def cvar(dist: EmpiricalDistribution, alpha: float) -> float:
-    """min over nu of h_alpha; for finite samples the minimizer is an atom."""
-    _check_alpha(alpha)
-    nus = np.unique(dist.samples)
-    # H evaluated at every distinct sample point, vectorized
-    excess = np.maximum(dist.samples[None, :] - nus[:, None], 0.0)
-    values = nus + (excess @ dist.weights) / (1.0 - alpha)
-    return float(values.min())
+    """CVaR_alpha as min over nu of h_alpha, taken at nu = value_at_risk.
+
+    When the cumulative weight reaches alpha exactly at an atom, H is flat
+    from that atom to the next and every point of the flat segment is a
+    minimizer. Round-off in the cumulative weights can then choose the
+    other end of the segment. The two values of H are equal in exact
+    arithmetic and differ only by round-off, in practice in the last ulp.
+    """
+    return h_alpha(dist, value_at_risk(dist, alpha), alpha)
 
 
 def cvar_oracle(dist: EmpiricalDistribution, alpha: float, grid) -> float:

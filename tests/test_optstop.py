@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvarpg import optstop
 from cvarpg.errors import InputError
 from cvarpg.mdp import AugmentedCostMode, augment, rollout
 from cvarpg.optstop import (
@@ -222,6 +223,47 @@ def test_augmented_batch_matches_sequential():
         assert d == batch.losses[j]
         assert traj.states[-2].s == batch.final_budgets[j]
         assert np.array_equal(traj.score, batch.scores[j])
+
+
+def _kernel_and_args(augmented: bool, n: int):
+    params = OptStopParams(T=8)
+    feats = OptStopPolicyFeatures(params, include_s=augmented)
+    theta = np.random.default_rng(6).normal(0, 0.8, feats.dim)
+    theta[-1] += 4.0  # lean to wait, so episodes end at many different steps
+    if augmented:
+        return rollout_batch_augmented, (OptStopEnv(params), feats, theta, 1.7, 29, ("blk",), n)
+    return rollout_batch, (OptStopEnv(params), feats, theta, 29, ("blk",), n)
+
+
+def _assert_same_episodes(got, want, scores=True):
+    assert np.array_equal(got.losses, want.losses)
+    assert np.array_equal(got.lengths, want.lengths)
+    if scores:
+        assert np.array_equal(got.scores, want.scores)
+    if want.final_budgets is None:
+        assert got.final_budgets is None
+    else:
+        assert np.array_equal(got.final_budgets, want.final_budgets)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_blocked_rollouts_match_one_block(monkeypatch, augmented):
+    n = 60
+    kernel, args = _kernel_and_args(augmented, n)
+    assert optstop.ROLLOUT_BLOCK >= n
+    whole = kernel(*args)
+    assert np.unique(whole.lengths).size > 3  # later steps run smaller, ragged blocks
+    monkeypatch.setattr(optstop, "ROLLOUT_BLOCK", 7)  # does not divide n
+    _assert_same_episodes(kernel(*args), whole)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_rollouts_without_scores(augmented):
+    n = 40
+    kernel, args = _kernel_and_args(augmented, n)
+    bare = kernel(*args, with_scores=False)
+    assert bare.scores.shape == (n, 0)
+    _assert_same_episodes(bare, kernel(*args), scores=False)
 
 
 def test_policy_features_shapes_and_scale():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarpg.errors import InputError
 from cvarpg.risk import (
@@ -143,6 +145,72 @@ def test_cvar_scaling_and_translation():
         shifted = EmpiricalDistribution(dist.samples + b, dist.weights)
         assert cvar(scaled, alpha) == pytest.approx(c * base, rel=1e-12, abs=1e-12)
         assert cvar(shifted, alpha) == pytest.approx(base + b, rel=1e-12, abs=1e-12)
+
+
+def test_cvar_at_scale_matches_sorted_tail_mean():
+    # n^2 doubles would be 320 GB here, so this size also pins O(n) memory
+    n, alpha = 200_000, 0.9123456
+    samples = np.random.default_rng(23).lognormal(0.0, 0.5, n)
+    assert np.unique(samples).size == n
+    # the top n (1 - alpha) samples, the last of them taken in part
+    top = np.sort(samples)[::-1]
+    take = np.clip(n * (1.0 - alpha) - np.arange(n), 0.0, 1.0)
+    assert 0.0 < take[take < 1.0].max() < 1.0  # the boundary atom is split
+    expected = (take @ top) / (n * (1.0 - alpha))
+    assert cvar(EmpiricalDistribution(samples), alpha) == pytest.approx(expected, rel=1e-12)
+
+
+_SAMPLE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_ALPHA = st.floats(0.01, 0.99)
+
+
+@st.composite
+def _distributions(draw):
+    samples = draw(st.lists(_SAMPLE, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        return EmpiricalDistribution(samples)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(samples),
+                               max_size=len(samples))))
+    return EmpiricalDistribution(samples, w / w.sum())
+
+
+def _tol(dist, alpha, scale=0.0):
+    # round-off of one weighted sum of len(dist) terms, divided by 1 - alpha
+    magnitude = np.abs(dist.samples).max() + abs(scale) + 1.0
+    return 1e-13 * len(dist) * magnitude / (1.0 - alpha)
+
+
+@settings(deadline=None)
+@given(_distributions(), _ALPHA, _SAMPLE)
+def test_cvar_translation_equivariant(dist, alpha, b):
+    shifted = EmpiricalDistribution(dist.samples + b, dist.weights)
+    assert cvar(shifted, alpha) == pytest.approx(cvar(dist, alpha) + b, rel=0.0,
+                                                 abs=_tol(dist, alpha, b))
+
+
+@settings(deadline=None)
+@given(_distributions(), _ALPHA, st.floats(0.1, 10.0))
+def test_cvar_positively_homogeneous(dist, alpha, c):
+    scaled = EmpiricalDistribution(c * dist.samples, dist.weights)
+    assert cvar(scaled, alpha) == pytest.approx(c * cvar(dist, alpha), rel=0.0,
+                                                abs=c * _tol(dist, alpha))
+
+
+@settings(deadline=None)
+@given(_distributions(), _ALPHA, st.data())
+def test_cvar_monotone(dist, alpha, data):
+    bump = data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(dist), max_size=len(dist)))
+    larger = EmpiricalDistribution(dist.samples + np.array(bump), dist.weights)
+    assert cvar(larger, alpha) >= cvar(dist, alpha) - _tol(larger, alpha)
+
+
+@settings(deadline=None)
+@given(_distributions(), _ALPHA)
+def test_cvar_between_mean_and_max_and_minimizes_over_atoms(dist, alpha):
+    value, tol = cvar(dist, alpha), _tol(dist, alpha)
+    assert dist.mean() - tol <= value <= dist.samples.max() + tol
+    # H at VaR is the minimum of H over every atom
+    assert value == pytest.approx(cvar_oracle(dist, alpha, dist.samples), rel=0.0, abs=tol)
 
 
 def test_input_validation():
