@@ -27,14 +27,7 @@ from .errors import InputError
 from .mdp import AugState
 from .policy import grad_log_prob, sample_action
 from .risk import RiskSpec
-from .schedules import (
-    Box,
-    Decision,
-    PerturbationSchedule,
-    StepSchedule,
-    lambda_max_controller,
-    relative_change,
-)
+from .schedules import Box, CapController, Decision, PerturbationSchedule, StepSchedule
 
 __all__ = [
     "AcVariant",
@@ -63,8 +56,6 @@ class AcIterate:
     lam: float
     v: np.ndarray
     u: np.ndarray | None = None
-    step: int = 0
-    episode: int = 0
 
 
 def spsa_nu_gradient(
@@ -190,61 +181,6 @@ class AcResult:
     history: list = field(default_factory=list)
 
 
-def _critic_warmup(env, policy_features, critic_features, original_critic_features,
-                   theta, nu, lam, v, u, risk, zeta4, rng, alternative,
-                   episodes: int, horizon_cap: int):
-    """Pretrain the value weights under the fixed initial policy.
-
-    The weight vectors are free initialization inputs of the training
-    loop; fitting them before any actor update keeps the early
-    actor steps from chasing an uninformed critic.
-    """
-    gamma = risk.gamma
-    w = 1
-    for _ in range(episodes):
-        state = AugState(env.initial_state(), nu)
-        steps = 0
-        while True:
-            at_terminal = state.at_terminal
-            if at_terminal:
-                cost_bar = _terminal_value(state.s, lam, risk, alternative)
-                next_state = None
-            else:
-                n_act = env.n_actions(state.env_state)
-                action = (
-                    sample_action(theta, policy_features.per_action(state), rng.random())
-                    if n_act > 1
-                    else 0
-                )
-                x_next, env_cost, env_done = env.step(state.env_state, action, rng)
-                s_next = (state.s - env_cost) / gamma
-                next_state = AugState(
-                    None if env_done else x_next, s_next, at_terminal=env_done
-                )
-                cost_bar = 0.0 if alternative else env_cost
-            phi = critic_features(state)
-            v_next = _bootstrap(v, critic_features, next_state, lam, risk, alternative)
-            delta = cost_bar + gamma * v_next - float(v @ phi)
-            v = v + zeta4(w) * delta * phi
-            if alternative and not at_terminal:
-                f = original_critic_features(state.env_state)
-                f_next = (
-                    original_critic_features(next_state.env_state)
-                    if not next_state.at_terminal
-                    else np.zeros_like(f)
-                )
-                eps = env_cost + gamma * float(u @ f_next) - float(u @ f)
-                u = u + zeta4(w) * eps * f
-            w += 1
-            if at_terminal:
-                break
-            state = next_state
-            steps += 1
-            if steps > horizon_cap:
-                raise InputError("warmup episode exceeded horizon cap")
-    return v, u
-
-
 def ac_train(
     env,
     policy_features,
@@ -261,30 +197,37 @@ def ac_train(
     episode_cap: int,
     horizon_cap: int = 10_000,
     original_critic_features=None,
-    freeze_lambda: bool = False,
-    freeze_nu: bool = False,
+    risk_neutral: bool = False,
     window: int = 50,
     rel_tol: float = 1e-4,
     lambda_margin: float = 0.01,
     semi_nu_schedule: StepSchedule | None = None,
     critic_warmup_episodes: int = 0,
-    recorder=None,
 ) -> AcResult:
     """Episode loop shared by all variants.
 
     ``stack`` is ordered slow to fast: (zeta1 lambda, zeta2 theta,
     zeta3 nu, zeta4 critic). The alternative variant additionally needs
-    ``original_critic_features`` for its raw-process critic. Freezing
-    lambda and nu (with budget-blind features) reduces every variant to a
-    plain risk-neutral actor-critic. ``semi_nu_schedule`` overrides the
-    step size of the per-episode quantile update (zeta2 by default;
-    zeta3 keeps it on the faster quantile timescale).
+    ``original_critic_features`` for its raw-process critic. Risk-neutral
+    mode freezes lambda and nu and starts every episode at budget 0; with
+    budget-blind features it reduces every variant to a plain actor-critic.
+    ``semi_nu_schedule`` overrides the step size of the per-episode
+    quantile update (zeta2 by default; zeta3 keeps it on the faster
+    quantile timescale).
+
+    The first ``critic_warmup_episodes`` episodes pretrain the critic
+    under the initial policy: they freeze theta, nu and lambda, add no
+    history record, and the global step count restarts at 1 after them.
+    The weight vectors are free initialization inputs of the training
+    loop; fitting them before any actor update keeps the early actor
+    steps from chasing an uninformed critic.
     """
     zeta1, zeta2, zeta3, zeta4 = stack
     semi_nu = semi_nu_schedule if semi_nu_schedule is not None else zeta2
     alternative = variant is AcVariant.ALTERNATIVE_TWO_CRITIC
     if alternative and original_critic_features is None:
         raise InputError("alternative variant needs the raw-process critic features")
+    per_episode = variant is AcVariant.SEMI_TRAJECTORY
     gamma = risk.gamma
     theta = np.asarray(iterate0.theta, dtype=float).copy()
     nu = float(iterate0.nu)
@@ -297,171 +240,145 @@ def ac_train(
             if iterate0.u is not None
             else np.zeros(original_critic_features.dim)
         )
-    lam_max = risk.lambda_max
-    if critic_warmup_episodes > 0:
-        v, u = _critic_warmup(
-            env, policy_features, critic_features, original_critic_features,
-            theta, nu, lam, v, u, risk, zeta4, rng, alternative,
-            critic_warmup_episodes, horizon_cap,
-        )
+    controller = CapController(risk.lambda_max, window, rel_tol, lambda_margin, risk_neutral)
     k_global = 1
-    episodes_total = 0
-    doublings = 0
+
+    def episode(learn: bool) -> tuple[float, int, float]:
+        """Run one episode, stepping the critics and, if ``learn``, theta, nu and lambda.
+
+        Returns the discounted loss, the number of interior steps and the
+        terminal budget.
+        """
+        nonlocal theta, nu, lam, v, u, k_global
+        # the incremental variants move nu and lambda at every step
+        step_multipliers = learn and not per_episode and not risk_neutral
+        state = AugState(env.initial_state(), 0.0 if risk_neutral else nu)
+        d_loss = 0.0
+        disc = 1.0
+        interior_steps = 0
+        while True:
+            at_terminal = state.at_terminal
+            glp = None
+            if at_terminal:
+                cost_bar = _terminal_value(state.s, lam, risk, alternative)
+                env_cost = 0.0
+                next_state = None
+            else:
+                if env.n_actions(state.env_state) > 1:
+                    feats = policy_features.per_action(state)
+                    action = sample_action(theta, feats, rng.random())
+                    if learn:
+                        glp = grad_log_prob(theta, feats, action)
+                else:
+                    action = 0
+                x_next, env_cost, env_done = env.step(state.env_state, action, rng)
+                s_next = (state.s - env_cost) / gamma
+                next_state = AugState(
+                    None if env_done else x_next, s_next, at_terminal=env_done
+                )
+                cost_bar = 0.0 if alternative else env_cost
+
+            phi = critic_features(state)
+            v_phi_next = _bootstrap(v, critic_features, next_state, lam, risk, alternative)
+            v_phi_here = float(v @ phi)
+            delta = cost_bar + gamma * v_phi_next - v_phi_here
+
+            eps = 0.0
+            if alternative and not at_terminal:
+                f = original_critic_features(state.env_state)
+                f_next = (
+                    original_critic_features(next_state.env_state)
+                    if not next_state.at_terminal
+                    else np.zeros_like(f)
+                )
+                eps = env_cost + gamma * float(u @ f_next) - float(u @ f)
+
+            nu_old, lam_old = nu, lam
+            # per-step updates decay with the global step count in every
+            # variant; indexing them by episode would give each step of
+            # the first episode the full schedule coefficient
+            v_new = v + zeta4(k_global) * delta * phi
+            if alternative and not at_terminal:
+                u = u + zeta4(k_global) * eps * f
+
+            if step_multipliers:
+                dk = perturbation(k_global)
+                g = spsa_nu_gradient(
+                    lam_old,
+                    v,
+                    critic_features.at_initial(nu_old + dk),
+                    critic_features.at_initial(nu_old - dk),
+                    dk,
+                    alpha=risk.alpha,
+                    alternative=alternative,
+                )
+                nu = spsa_nu_update(nu_old, g, zeta3(k_global), nu_box)
+
+            if glp is not None:
+                if alternative:
+                    signal = eps + (lam_old / (1.0 - risk.alpha)) * delta
+                else:
+                    # delta weighs a unit of loss beyond nu 1 + lambda/(1-alpha);
+                    # dividing that out keeps the actor's step from growing
+                    # with the multiplier, which moves on the slowest timescale
+                    signal = delta / (1.0 + lam_old / (1.0 - risk.alpha))
+                theta = ac_theta_update(theta, glp, signal, zeta2(k_global), gamma, theta_box)
+
+            if step_multipliers:
+                lam_box = Box(0.0, controller.lambda_max)
+                if alternative:
+                    lam = ac_lambda_update_alternative(
+                        lam_old, nu_old, risk, v_phi_here, zeta1(k_global), lam_box
+                    )
+                else:
+                    lam = ac_lambda_update_incremental(
+                        lam_old, nu_old, risk, disc, state.s, at_terminal,
+                        zeta1(k_global), lam_box,
+                    )
+
+            v = v_new
+            k_global += 1
+            if at_terminal:
+                return d_loss, interior_steps, state.s
+            d_loss += disc * env_cost
+            disc *= gamma
+            interior_steps += 1
+            state = next_state
+            if interior_steps > horizon_cap:
+                raise InputError("episode exceeded horizon cap")
+
+    for _ in range(critic_warmup_episodes):
+        episode(learn=False)
+    k_global = 1
+
     history: list[dict] = []
     converged = False
-
-    per_episode = variant is AcVariant.SEMI_TRAJECTORY
-    while episodes_total < episode_cap:
-        lam_history: list[float] = []
-        param_history: list[np.ndarray] = []
-        restart = False
-        episode_idx = 0
-        while episode_idx < tuning_episodes and episodes_total < episode_cap:
-            episode_idx += 1
-            episodes_total += 1
-            s0 = 0.0 if freeze_nu else nu
-            x = env.initial_state()
-            state = AugState(x, s0)
-            d_loss = 0.0
-            disc = 1.0
-            interior_steps = 0
-            s_terminal = 0.0
-            while True:
-                at_terminal = state.at_terminal
-                if at_terminal:
-                    cost_bar = _terminal_value(state.s, lam, risk, alternative)
-                    env_cost = 0.0
-                    glp = None
-                    next_state = None
-                else:
-                    n_act = env.n_actions(state.env_state)
-                    if n_act > 1:
-                        feats = policy_features.per_action(state)
-                        action = sample_action(theta, feats, rng.random())
-                        glp = grad_log_prob(theta, feats, action)
-                    else:
-                        action, glp = 0, None
-                    x_next, env_cost, env_done = env.step(state.env_state, action, rng)
-                    s_next = (state.s - env_cost) / gamma
-                    next_state = AugState(
-                        None if env_done else x_next, s_next, at_terminal=env_done
-                    )
-                    cost_bar = 0.0 if alternative else env_cost
-
-                phi = critic_features(state)
-                v_phi_next = _bootstrap(v, critic_features, next_state, lam, risk, alternative)
-                delta = cost_bar + gamma * v_phi_next - float(v @ phi)
-                v_phi_here = float(v @ phi)
-
-                eps = 0.0
-                if alternative and not at_terminal:
-                    f = original_critic_features(state.env_state)
-                    f_next = (
-                        original_critic_features(next_state.env_state)
-                        if not next_state.at_terminal
-                        else np.zeros_like(f)
-                    )
-                    eps = env_cost + gamma * float(u @ f_next) - float(u @ f)
-
-                nu_old, lam_old = nu, lam
-                # per-step updates decay with the global step count in every
-                # variant; indexing them by episode would give each step of
-                # the first episode the full schedule coefficient
-                v_new = v + zeta4(k_global) * delta * phi
-                if alternative and not at_terminal:
-                    u = u + zeta4(k_global) * eps * f
-
-                if not per_episode and not freeze_nu:
-                    dk = perturbation(k_global)
-                    g = spsa_nu_gradient(
-                        lam_old,
-                        v,
-                        critic_features.at_initial(nu_old + dk),
-                        critic_features.at_initial(nu_old - dk),
-                        dk,
-                        alpha=risk.alpha,
-                        alternative=alternative,
-                    )
-                    nu = spsa_nu_update(nu_old, g, zeta3(k_global), nu_box)
-
-                if glp is not None:
-                    if alternative:
-                        signal = eps + (lam_old / (1.0 - risk.alpha)) * delta
-                    else:
-                        # delta weighs a unit of loss beyond nu 1 + lambda/(1-alpha);
-                        # dividing that out keeps the actor's step from growing
-                        # with the multiplier, which moves on the slowest timescale
-                        signal = delta / (1.0 + lam_old / (1.0 - risk.alpha))
-                    theta = ac_theta_update(theta, glp, signal, zeta2(k_global), gamma, theta_box)
-
-                if not per_episode and not freeze_lambda:
-                    lam_box = Box(0.0, lam_max)
-                    if alternative:
-                        lam = ac_lambda_update_alternative(
-                            lam_old, nu_old, risk, v_phi_here, zeta1(k_global), lam_box
-                        )
-                    else:
-                        lam = ac_lambda_update_incremental(
-                            lam_old, nu_old, risk, disc, state.s, at_terminal,
-                            zeta1(k_global), lam_box,
-                        )
-
-                v = v_new
-                k_global += 1
-                if at_terminal:
-                    s_terminal = state.s
-                    break
-                d_loss += disc * env_cost
-                disc *= gamma
-                interior_steps += 1
-                state = next_state
-                if interior_steps > horizon_cap:
-                    raise InputError("episode exceeded horizon cap")
-
-            if per_episode and not freeze_nu and not freeze_lambda:
-                nu, lam = semi_trajectory_updates(
-                    nu, lam, s_terminal, interior_steps, risk,
-                    semi_nu(episode_idx), zeta1(episode_idx), nu_box, Box(0.0, lam_max),
-                )
-
-            lam_history.append(lam)
-            param_history.append(np.concatenate([theta, [nu, lam]]))
-            rec = {
-                "iter": episodes_total,
-                "nu": nu,
-                "lambda": lam,
-                "theta_norm": float(np.linalg.norm(theta)),
-                "mean_batch_loss": d_loss,
-                "episode_steps": interior_steps,
-                "v_norm": float(np.linalg.norm(v)),
-            }
-            history.append(rec)
-            if recorder is not None:
-                recorder(rec)
-
-            settled = (
-                len(param_history) >= window
-                and relative_change(param_history, window) < rel_tol
+    episode_idx = 0
+    while episode_idx < tuning_episodes and len(history) < episode_cap:
+        episode_idx += 1
+        d_loss, interior_steps, s_terminal = episode(learn=True)
+        if per_episode and not risk_neutral:
+            nu, lam = semi_trajectory_updates(
+                nu, lam, s_terminal, interior_steps, risk,
+                semi_nu(episode_idx), zeta1(episode_idx), nu_box,
+                Box(0.0, controller.lambda_max),
             )
-            if freeze_lambda:
-                if settled:
-                    converged = True
-                    break
-                continue
-            decision = lambda_max_controller(
-                lam_history, lam_max, lambda_margin, window, rel_tol, settled
-            )
-            if decision is Decision.ACCEPT:
-                converged = True
-                break
-            if decision is Decision.DOUBLE:
-                lam_max *= 2.0
-                doublings += 1
-                restart = True
-                k_global = 1
-                break
-        if converged or not restart:
+        history.append({
+            "iter": len(history) + 1,
+            "nu": nu,
+            "lambda": lam,
+            "theta_norm": float(np.linalg.norm(theta)),
+            "mean_batch_loss": d_loss,
+            "episode_steps": interior_steps,
+            "v_norm": float(np.linalg.norm(v)),
+        })
+        decision = controller.observe(theta, nu, lam)
+        if decision is Decision.ACCEPT:
+            converged = True
             break
+        if decision is Decision.DOUBLE:
+            episode_idx = 0
+            k_global = 1
 
-    iterate = AcIterate(theta, nu, lam, v, u, k_global, episodes_total)
-    return AcResult(iterate, converged, lam_max, doublings, history)
+    iterate = AcIterate(theta, nu, lam, v, u)
+    return AcResult(iterate, converged, controller.lambda_max, controller.doublings, history)

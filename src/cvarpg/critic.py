@@ -19,7 +19,6 @@ from .mdp import AugmentedEnv, AugState
 from .policy import action_probabilities, sample_action
 
 __all__ = [
-    "CriticWeights",
     "Transition",
     "td_error",
     "td_update",
@@ -33,18 +32,6 @@ __all__ = [
     "exact_lstd_system",
     "sample_occupation_transitions",
 ]
-
-
-@dataclass
-class CriticWeights:
-    """Linear coefficients for the augmented-process value function.
-
-    ``u`` is the optional second critic over the raw process used by the
-    two-critic gradient variant.
-    """
-
-    v: np.ndarray
-    u: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -201,8 +201,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             config.ac_episode_cap,
             horizon_cap=config.env_T + 2,
             original_critic_features=orig_cfeats,
-            freeze_lambda=risk_neutral,
-            freeze_nu=risk_neutral,
+            risk_neutral=risk_neutral,
             window=config.train_window,
             rel_tol=config.train_rel_tol,
             lambda_margin=config.train_lambda_margin,

@@ -15,13 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .risk import RiskSpec
-from .schedules import (
-    Box,
-    Decision,
-    StepSchedule,
-    lambda_max_controller,
-    relative_change,
-)
+from .schedules import Box, CapController, Decision, StepSchedule
 
 __all__ = ["SaddleIterate", "GradientEstimate", "estimate_batch_gradients",
            "pg_iteration", "PgResult", "pg_train"]
@@ -125,7 +119,6 @@ def pg_train(
     rel_tol: float = 1e-4,
     lambda_margin: float = 0.01,
     risk_neutral: bool = False,
-    recorder=None,
 ) -> PgResult:
     """Run batched saddle-point iterations until accepted or out of budget.
 
@@ -133,63 +126,33 @@ def pg_train(
     fresh batch. Each doubling of the multiplier cap restarts the inner
     schedule index while keeping the current iterate.
     """
-    lam_max = risk.lambda_max
+    controller = CapController(risk.lambda_max, window, rel_tol, lambda_margin, risk_neutral)
     iterate = iterate0
-    total = 0
-    doublings = 0
     history: list[dict] = []
     converged = False
-    while total < iteration_cap:
-        lam_history: list[float] = []
-        param_history: list[np.ndarray] = []
-        restart = False
-        for i in range(1, tuning_iterations + 1):
-            if total >= iteration_cap:
-                break
-            losses, scores = sampler(iterate.theta, doublings, i)
-            grads = estimate_batch_gradients(losses, scores, iterate.nu, iterate.lam, risk)
-            lam_box = Box(0.0, lam_max)
-            iterate = pg_iteration(
-                iterate, grads, i, schedules, (lam_box, theta_box, nu_box), risk_neutral
-            )
-            total += 1
-            lam_history.append(iterate.lam)
-            param_history.append(
-                np.concatenate([iterate.theta, [iterate.nu, iterate.lam]])
-            )
-            rec = {
-                "iter": total,
-                "nu": iterate.nu,
-                "lambda": iterate.lam,
-                "theta_norm": float(np.linalg.norm(iterate.theta)),
-                "mean_batch_loss": float(np.mean(losses)),
-                "g_theta_norm": float(np.linalg.norm(grads.g_theta)),
-                "g_nu": grads.g_nu,
-                "g_lambda": grads.g_lambda,
-            }
-            history.append(rec)
-            if recorder is not None:
-                recorder(rec)
-            if risk_neutral:
-                if relative_change(param_history, window) < rel_tol and len(param_history) >= window:
-                    converged = True
-                    break
-                continue
-            settled = (
-                len(param_history) >= window
-                and relative_change(param_history, window) < rel_tol
-            )
-            decision = lambda_max_controller(
-                lam_history, lam_max, lambda_margin, window, rel_tol, settled
-            )
-            if decision is Decision.ACCEPT:
-                converged = True
-                break
-            if decision is Decision.DOUBLE:
-                lam_max *= 2.0
-                doublings += 1
-                restart = True
-                break
-        if converged or not restart:
+    i = 0
+    while i < tuning_iterations and len(history) < iteration_cap:
+        i += 1
+        losses, scores = sampler(iterate.theta, controller.doublings, i)
+        grads = estimate_batch_gradients(losses, scores, iterate.nu, iterate.lam, risk)
+        lam_box = Box(0.0, controller.lambda_max)
+        iterate = pg_iteration(
+            iterate, grads, i, schedules, (lam_box, theta_box, nu_box), risk_neutral
+        )
+        history.append({
+            "iter": len(history) + 1,
+            "nu": iterate.nu,
+            "lambda": iterate.lam,
+            "theta_norm": float(np.linalg.norm(iterate.theta)),
+            "mean_batch_loss": float(np.mean(losses)),
+            "g_theta_norm": float(np.linalg.norm(grads.g_theta)),
+            "g_nu": grads.g_nu,
+            "g_lambda": grads.g_lambda,
+        })
+        decision = controller.observe(iterate.theta, iterate.nu, iterate.lam)
+        if decision is Decision.ACCEPT:
+            converged = True
             break
-    return PgResult(iterate, converged, lam_max, doublings, history)
+        if decision is Decision.DOUBLE:
+            i = 0
+    return PgResult(iterate, converged, controller.lambda_max, controller.doublings, history)

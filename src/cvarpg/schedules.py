@@ -50,14 +50,6 @@ class PerturbationSchedule:
         return self.c / float(k) ** self.p
 
 
-def step(schedule: StepSchedule, i: int) -> float:
-    return schedule(i)
-
-
-def spsa_delta(k: int, schedule: PerturbationSchedule) -> float:
-    return schedule(k)
-
-
 @dataclass(frozen=True)
 class TimescaleStack:
     """Ordered schedules from slowest to fastest update.
@@ -103,10 +95,6 @@ class Box:
 
     def project(self, x):
         return np.clip(x, self.lo, self.hi)
-
-
-def project(x, box: Box):
-    return box.project(x)
 
 
 def nu_interval(c_max: float, gamma: float) -> Box:
@@ -164,3 +152,47 @@ def lambda_max_controller(
     if lam_settled and tail[-1] < cap_edge and params_converged:
         return Decision.ACCEPT
     return Decision.CONTINUE
+
+
+class CapController:
+    """The multiplier-cap policy of one training run, fed one iterate at a time.
+
+    Both learners descend in (theta, nu) and ascend in lambda, projected
+    into [0, lambda_max]. After each update the learner passes its iterate
+    to ``observe``, which keeps the histories of the current round, tests
+    whether the parameters have settled over the trailing window and asks
+    ``lambda_max_controller`` for a decision. On DOUBLE it doubles
+    ``lambda_max`` and starts a fresh round, and the learner restarts its
+    schedule index. A risk-neutral run keeps lambda at zero, so it never
+    doubles and is accepted as soon as its parameters settle.
+    """
+
+    def __init__(self, lambda_max: float, window: int = 50, rel_tol: float = 1e-4,
+                 margin: float = 0.01, risk_neutral: bool = False):
+        self.lambda_max = lambda_max
+        self.window = window
+        self.rel_tol = rel_tol
+        self.margin = margin
+        self.risk_neutral = risk_neutral
+        self.doublings = 0
+        self._lam_history: list[float] = []
+        self._param_history: list[np.ndarray] = []
+
+    def observe(self, theta: np.ndarray, nu: float, lam: float) -> Decision:
+        self._lam_history.append(lam)
+        self._param_history.append(np.concatenate([theta, [nu, lam]]))
+        settled = (
+            len(self._param_history) >= self.window
+            and relative_change(self._param_history, self.window) < self.rel_tol
+        )
+        if self.risk_neutral:
+            return Decision.ACCEPT if settled else Decision.CONTINUE
+        decision = lambda_max_controller(
+            self._lam_history, self.lambda_max, self.margin, self.window, self.rel_tol, settled
+        )
+        if decision is Decision.DOUBLE:
+            self.lambda_max *= 2.0
+            self.doublings += 1
+            self._lam_history.clear()
+            self._param_history.clear()
+        return decision

@@ -16,7 +16,13 @@ from cvarpg.critic import build_chain, value_iteration
 from cvarpg.errors import InputError
 from cvarpg.mdp import AugmentedCostMode, AugState, FiniteMDP, augment, enumerate_trajectories
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
-from cvarpg.schedules import Box, PerturbationSchedule, StepSchedule
+from cvarpg.schedules import (
+    Box,
+    Decision,
+    PerturbationSchedule,
+    StepSchedule,
+    lambda_max_controller,
+)
 from cvarpg.seeding import substream
 from conftest import ChainFeatures, TabularPolicyFeatures, make_diamond_mdp
 
@@ -227,10 +233,11 @@ def test_spsa_estimate_approaches_exact_subgradient():
 
 
 def _run_ac(variant, episodes=12, freeze=False, theta_seed=3, nu0=1.5, lam0=1.0,
-            semi_nu_schedule=None, warmup=0):
+            semi_nu_schedule=None, warmup=0, risk=None, window=10**6, rng=None,
+            start=None):
     env = make_diamond_mdp()
     fmap = TabularPolicyFeatures(4, 2)
-    risk = RiskSpec(0.6, 2.0, 50.0, GAMMA)
+    risk = risk if risk is not None else RiskSpec(0.6, 2.0, 50.0, GAMMA)
     cfeats_chain = build_chain(
         augment(env, lam0, risk, AugmentedCostMode.STANDARD, s0=nu0),
         fmap, np.zeros(fmap.dim), np.linspace(-6.0, 6.0, 25), max_states=5000,
@@ -241,21 +248,21 @@ def _run_ac(variant, episodes=12, freeze=False, theta_seed=3, nu0=1.5, lam0=1.0,
         env,
         fmap,
         cfeats,
-        AcIterate(np.zeros(fmap.dim), nu0, lam0, np.zeros(cfeats.dim)),
+        start if start is not None
+        else AcIterate(np.zeros(fmap.dim), nu0, lam0, np.zeros(cfeats.dim)),
         risk,
         AC_STACK,
         DELTA,
         Box(-2.0, 2.0),
         Box(0.0, 6.0),
-        substream(theta_seed, "ac"),
+        rng if rng is not None else substream(theta_seed, "ac"),
         variant,
         tuning_episodes=episodes,
         episode_cap=episodes,
         horizon_cap=50,
         original_critic_features=raw,
-        freeze_lambda=freeze,
-        freeze_nu=freeze,
-        window=10**6,  # keep the run from stopping early
+        risk_neutral=freeze,
+        window=window,  # the default keeps the run from stopping early
         semi_nu_schedule=semi_nu_schedule,
         critic_warmup_episodes=warmup,
     )
@@ -371,3 +378,69 @@ def test_critic_warmup_changes_initial_weights_only():
     assert np.all(np.isfinite(warm.iterate.v))
     assert np.linalg.norm(warm.iterate.v) > 0.0
     assert len(cold.history) == len(warm.history)
+
+
+@pytest.mark.parametrize(
+    "variant", [AcVariant.SPSA_INCREMENTAL, AcVariant.ALTERNATIVE_TWO_CRITIC]
+)
+def test_critic_warmup_is_a_frozen_prefix_of_the_run(variant):
+    # a warmup-only run moves nothing but the critics and records nothing
+    rng = substream(5, "ac")
+    head = _run_ac(variant, episodes=0, warmup=7, rng=rng)
+    assert head.history == []
+    assert np.array_equal(head.iterate.theta, np.zeros(8))
+    assert (head.iterate.nu, head.iterate.lam) == (1.5, 1.0)
+    assert np.linalg.norm(head.iterate.v) > 0.0
+    # continuing from its critics and its random stream, with the step
+    # count back at 1, reproduces the run with the warmup folded in
+    tail = _run_ac(variant, episodes=9, rng=rng, start=head.iterate)
+    whole = _run_ac(variant, episodes=9, warmup=7, rng=substream(5, "ac"))
+    assert np.array_equal(whole.iterate.theta, tail.iterate.theta)
+    assert (whole.iterate.nu, whole.iterate.lam) == (tail.iterate.nu, tail.iterate.lam)
+    assert np.array_equal(whole.iterate.v, tail.iterate.v)
+    if variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
+        assert np.array_equal(whole.iterate.u, tail.iterate.u)
+    else:
+        assert whole.iterate.u is None and tail.iterate.u is None
+    assert len(whole.history) == 9
+    assert whole.history == tail.history
+
+
+@pytest.mark.parametrize("variant", list(AcVariant))
+def test_train_doubles_cap_when_multiplier_pins(variant):
+    # infeasible tolerance: every loss exceeds beta, so lambda climbs to its cap
+    risk = RiskSpec(0.6, -10.0, 0.5, GAMMA)
+    window, episodes = 5, 40
+    result = _run_ac(variant, episodes=episodes, lam0=0.25, risk=risk, window=window)
+    assert result.doublings >= 1
+    assert result.lambda_max > risk.lambda_max
+    lams = [rec["lambda"] for rec in result.history]
+    assert max(lams) > risk.lambda_max  # the raised cap is the one enforced
+    # replay the cap: a doubling fires when the trailing window pins to it
+    cap, since_doubling, doubled_at = risk.lambda_max, [], []
+    for n, lam in enumerate(lams, start=1):
+        assert 0.0 <= lam <= cap
+        since_doubling.append(lam)
+        decision = lambda_max_controller(since_doubling, cap, window=window,
+                                         params_converged=False)
+        if decision is Decision.DOUBLE:
+            cap, since_doubling = 2.0 * cap, []
+            doubled_at.append(n)
+    assert (cap, len(doubled_at)) == (result.lambda_max, result.doublings)
+    # after a doubling the run goes on as a fresh run from its iterate under
+    # the doubled cap: the schedule index restarts and the window is empty
+    first = doubled_at[0]
+    rng = substream(3, "ac")
+    head = _run_ac(variant, episodes=first, lam0=0.25, risk=risk, window=window, rng=rng)
+    assert (head.doublings, head.lambda_max) == (1, 2.0 * risk.lambda_max)
+    tail = _run_ac(variant, episodes=episodes - first, lam0=0.25,
+                   risk=RiskSpec(0.6, -10.0, head.lambda_max, GAMMA), window=window,
+                   rng=rng, start=head.iterate)
+    assert result.history[first:] == [
+        {**rec, "iter": rec["iter"] + first} for rec in tail.history
+    ]
+    assert np.array_equal(result.iterate.theta, tail.iterate.theta)
+    assert np.array_equal(result.iterate.v, tail.iterate.v)
+    if variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
+        assert np.array_equal(result.iterate.u, tail.iterate.u)
+    assert (result.lambda_max, result.doublings) == (tail.lambda_max, tail.doublings + 1)

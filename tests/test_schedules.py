@@ -6,16 +6,14 @@ import pytest
 from cvarpg.errors import InputError
 from cvarpg.schedules import (
     Box,
+    CapController,
     Decision,
     PerturbationSchedule,
     StepSchedule,
     TimescaleStack,
     lambda_max_controller,
     nu_interval,
-    project,
     relative_change,
-    spsa_delta,
-    step,
 )
 
 PG_STACK = TimescaleStack((
@@ -35,10 +33,10 @@ AC_STACK = TimescaleStack(
 
 
 def test_step_values():
-    assert step(StepSchedule(0.1, 1.0), 10) == pytest.approx(0.01)
-    assert step(StepSchedule(0.05, 0.8), 1) == 0.05
+    assert StepSchedule(0.1, 1.0)(10) == pytest.approx(0.01)
+    assert StepSchedule(0.05, 0.8)(1) == 0.05
     with pytest.raises(InputError):
-        step(StepSchedule(0.1, 1.0), 0)
+        StepSchedule(0.1, 1.0)(0)
 
 
 def test_schedule_validation():
@@ -74,8 +72,8 @@ def test_timescale_stack_validation():
 
 def test_spsa_delta_values():
     sched = PerturbationSchedule(0.5, 0.1)
-    assert spsa_delta(1, sched) == 0.5
-    assert spsa_delta(1024, sched) == pytest.approx(0.25, abs=1e-12)
+    assert sched(1) == 0.5
+    assert sched(1024) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spsa_square_summability_tail():
@@ -93,11 +91,11 @@ def test_spsa_square_summability_tail():
 
 
 def test_projection_examples():
-    assert project(np.array([5.0]), Box(0.0, 3.0))[0] == 3.0
+    assert Box(0.0, 3.0).project(np.array([5.0]))[0] == 3.0
     box = Box(np.array([-60.0, -60.0]), np.array([60.0, 60.0]))
-    assert np.array_equal(project(np.array([-100.0, 100.0]), box), [-60.0, 60.0])
+    assert np.array_equal(box.project(np.array([-100.0, 100.0])), [-60.0, 60.0])
     interior = np.array([1.5, -2.5])
-    assert np.array_equal(project(interior, box), interior)
+    assert np.array_equal(box.project(interior), interior)
 
 
 def test_projection_idempotent_and_nonexpansive():
@@ -166,3 +164,40 @@ def test_relative_change():
     assert relative_change([1.0], 5) == np.inf
     flat = [np.array([1.0, 2.0])] * 10
     assert relative_change(flat, 5) == 0.0
+
+
+def test_cap_controller_doubles_and_starts_a_fresh_round():
+    controller = CapController(2.0, window=5)
+    theta = np.zeros(2)
+    decisions = [controller.observe(theta, 1.0, 2.0) for _ in range(5)]
+    assert decisions == [Decision.CONTINUE] * 4 + [Decision.DOUBLE]
+    assert (controller.lambda_max, controller.doublings) == (4.0, 1)
+    # the new round starts empty: a full window of settled iterates below
+    # the new cap is accepted, with no trace of the jump from the old round
+    decisions = [controller.observe(theta, 1.0, 3.0) for _ in range(5)]
+    assert decisions == [Decision.CONTINUE] * 4 + [Decision.ACCEPT]
+    # with a wide margin the old round's multipliers would pin the doubled cap
+    wide = CapController(2.0, window=5, margin=0.6)
+    for _ in range(5):
+        wide.observe(theta, 1.0, 2.0)
+    decisions = [wide.observe(theta, 1.0, 2.0) for _ in range(5)]
+    assert decisions == [Decision.CONTINUE] * 4 + [Decision.DOUBLE]
+
+
+def test_cap_controller_accepts_only_settled_parameters():
+    controller = CapController(10.0, window=5)
+    theta = np.zeros(2)
+    # the multiplier is flat from the start, but theta still moves
+    for i in range(10):
+        assert controller.observe(theta + i, 1.0, 5.0) is Decision.CONTINUE
+    decisions = [controller.observe(theta, 1.0, 5.0) for _ in range(6)]
+    assert decisions == [Decision.CONTINUE] * 5 + [Decision.ACCEPT]
+
+
+def test_cap_controller_risk_neutral_never_doubles():
+    controller = CapController(1.0, window=5, risk_neutral=True)
+    theta = np.zeros(2)
+    # a multiplier pinned at the cap would double in a constrained run
+    decisions = [controller.observe(theta, 0.0, 1.0) for _ in range(5)]
+    assert decisions == [Decision.CONTINUE] * 4 + [Decision.ACCEPT]
+    assert (controller.lambda_max, controller.doublings) == (1.0, 0)
