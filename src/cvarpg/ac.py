@@ -163,15 +163,6 @@ def _terminal_value(s: float, lam: float, risk: RiskSpec, alternative: bool) -> 
     return (1.0 if alternative else lam) * max(-s, 0.0) / (1.0 - risk.alpha)
 
 
-def _bootstrap(v: np.ndarray, critic_features, next_state, lam: float, risk: RiskSpec,
-               alternative: bool) -> float:
-    if next_state is None:
-        return 0.0
-    if next_state.at_terminal:
-        return _terminal_value(next_state.s, lam, risk, alternative)
-    return float(v @ critic_features(next_state))
-
-
 @dataclass
 class AcResult:
     iterate: AcIterate
@@ -256,6 +247,9 @@ def ac_train(
         d_loss = 0.0
         disc = 1.0
         interior_steps = 0
+        # critic features of the state, carried over from the step before;
+        # only the first and the terminal state build their own
+        phi = f = None
         while True:
             at_terminal = state.at_terminal
             glp = None
@@ -278,19 +272,23 @@ def ac_train(
                 )
                 cost_bar = 0.0 if alternative else env_cost
 
-            phi = critic_features(state)
-            v_phi_next = _bootstrap(v, critic_features, next_state, lam, risk, alternative)
+            phi = critic_features(state) if phi is None else phi
+            phi_next = None
+            if next_state is None:
+                v_phi_next = 0.0
+            elif next_state.at_terminal:
+                v_phi_next = _terminal_value(next_state.s, lam, risk, alternative)
+            else:
+                phi_next = critic_features(next_state)
+                v_phi_next = float(v @ phi_next)
             v_phi_here = float(v @ phi)
             delta = cost_bar + gamma * v_phi_next - v_phi_here
 
-            eps = 0.0
+            eps, f_next = 0.0, None
             if alternative and not at_terminal:
-                f = original_critic_features(state.env_state)
-                f_next = (
-                    original_critic_features(next_state.env_state)
-                    if not next_state.at_terminal
-                    else np.zeros_like(f)
-                )
+                f = original_critic_features(state.env_state) if f is None else f
+                f_next = (np.zeros_like(f) if next_state.at_terminal
+                          else original_critic_features(next_state.env_state))
                 eps = env_cost + gamma * float(u @ f_next) - float(u @ f)
 
             nu_old, lam_old = nu, lam
@@ -343,7 +341,7 @@ def ac_train(
             d_loss += disc * env_cost
             disc *= gamma
             interior_steps += 1
-            state = next_state
+            state, phi, f = next_state, phi_next, f_next
             if interior_steps > horizon_cap:
                 raise InputError("episode exceeded horizon cap")
 

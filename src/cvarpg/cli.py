@@ -2,7 +2,8 @@
 
 Subcommands: train (train + evaluate + write artifacts), eval
 (re-evaluate saved parameters), compare (tabulate reports), and
-enumerate-oracle (exact loss distribution on small horizons).
+enumerate-oracle (exact loss distribution of a fixed policy, from the
+recombining cost lattice, at any horizon).
 
 Exit codes: 0 success, 2 configuration or input error, 3 training did
 not converge (artifacts are still written), 4 runtime or numeric error.
@@ -22,6 +23,7 @@ from .harness import (
     compare,
     evaluate_policy,
     load_params,
+    policy_feature_map,
     report_from_text,
     run_experiment,
     write_artifacts,
@@ -57,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("reports", nargs="+", help="two or more report.txt files")
 
     oracle = sub.add_parser("enumerate-oracle",
-                            help="exact loss distribution of a fixed policy (small T only)")
+                            help="exact loss distribution of a fixed policy, from the cost lattice")
     oracle.add_argument("--config", required=True)
     oracle.add_argument("--policy", default="uniform", choices=["uniform", "accept", "wait"])
     oracle.add_argument("--out", default=None, help="optional CSV path for the atoms")
@@ -105,13 +107,9 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
     params = config.env_params()
-    if args.policy == "uniform":
-        from .harness import policy_feature_map
-
-        feats = policy_feature_map(config, include_s=False)
-        dist = enumerate_loss_distribution(feats, np.zeros(feats.dim), params)
-    else:
-        dist = enumerate_loss_distribution(None, None, params, policy=args.policy)
+    feats = policy_feature_map(config, include_s=False)
+    policy = "boltzmann" if args.policy == "uniform" else args.policy
+    dist = enumerate_loss_distribution(feats, np.zeros(feats.dim), params, policy=policy)
     alpha, beta = config.risk_alpha, config.risk_beta
     print(f"atoms={len(dist)} mean={dist.mean():.9f} variance={dist.variance():.9f}")
     print(f"cvar_{alpha}={cvar(dist, alpha):.9f} tail_prob_{beta}={tail_probability(dist, beta):.9f}")

@@ -74,15 +74,8 @@ class RbfGrid:
 
 
 def action_blocks(state_features: np.ndarray, n_actions: int) -> np.ndarray:
-    """Stack per-action rows: action a gets the state vector in block a.
-
-    Input (f,) -> output (n_actions, n_actions*f).
-    """
-    f = state_features.shape[-1]
-    out = np.zeros((n_actions, n_actions * f))
-    for a in range(n_actions):
-        out[a, a * f:(a + 1) * f] = state_features
-    return out
+    """Per-action rows, action a's state vector in block a: (f,) -> (n_actions, n_actions*f)."""
+    return action_blocks_batch(state_features[None, :], n_actions)[0]
 
 
 def action_blocks_batch(state_features: np.ndarray, n_actions: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .ac import AcIterate, AcResult, AcVariant, ac_train
 from .config import ExperimentConfig
 from .errors import InputError
+from .mdp import AugState
 from .optstop import (
     OptStopCriticFeatures,
     OptStopEnv,
@@ -226,8 +227,6 @@ class _RawStateCritic:
         self.dim = base.dim
 
     def __call__(self, env_state):
-        from .mdp import AugState
-
         if env_state is None:
             return np.zeros(self.dim)
         return self.base(AugState(env_state, 0.0))

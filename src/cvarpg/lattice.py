@@ -1,0 +1,162 @@
+"""Exact oracle for the optimal-stopping benchmark on its recombining cost lattice.
+
+After k waits with u up-moves the cost is c0 f_u^u f_d^(k-u) whatever the
+order of the moves, and the holding fees paid so far are deterministic, so
+stopping at node (k, u) ends the episode with loss
+
+    D(k, u) = p_h (1 - gamma^k) / (1 - gamma) + gamma^k c0 f_u^u f_d^(k-u).
+
+The tree of 2^T paths recombines into (T+1)(T+2)/2 nodes (231 at T = 20).
+Every stop rule that is Markov in (c, k) has its exact loss distribution
+from one forward pass over the nodes, and the best stop rule for any node
+payoff g(D) comes from backward induction (Bauerle & Ott 2011, "Markov
+decision processes with average-value-at-risk criteria"): g = D for the
+mean; g = (D - nu)^+ inside a Rockafellar-Uryasev scan over nu for CVaR;
+g = D + lam (D - nu)^+ / (1 - alpha) for the Lagrangian of the
+CVaR-constrained problem.
+
+Stop rules are (T+1, T+1) arrays of acceptance probabilities indexed
+[k, u]; entries with u > k are ignored and row T is forced to accept.
+Parameters and feature maps are read by attribute only.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import InputError
+from .risk import EmpiricalDistribution
+
+
+class StoppingLattice:
+    """Node losses of the stopping problem with exact forward and backward passes."""
+
+    def __init__(self, params):
+        self.params = params
+        T = params.T
+        self.valid = np.arange(T + 1)[None, :] <= np.arange(T + 1)[:, None]
+        # summed as a rollout sums along the path that takes a node's
+        # down-moves first, so that path's loss is the node loss bit for bit
+        cost = np.zeros((T + 1, T + 1))
+        cost[0, 0] = params.c0
+        fees = np.zeros(T + 1)
+        disc = np.ones(T + 1)
+        for k in range(T):
+            cost[k + 1, 0] = cost[k, 0] * params.f_d
+            cost[k + 1, 1:k + 2] = cost[k, :k + 1] * params.f_u
+            fees[k + 1] = fees[k] + disc[k] * params.p_h
+            disc[k + 1] = disc[k] * params.gamma
+        self.cost = cost
+        self.loss = np.where(self.valid, fees[:, None] + disc[:, None] * cost, 0.0)
+        self.node_losses = np.unique(self.loss[self.valid])
+
+    def best_stop_rule(self, payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Backward induction for min E[payoff at the stopping node].
+
+        ``payoff`` has shape (..., T+1, T+1); leading axes are independent
+        problems. Returns the optimal values at the root and the stop
+        rules (ties stop).
+        """
+        p, T = self.params, self.params.T
+        stop = np.zeros(payoff.shape, dtype=bool)
+        stop[..., T, :] = True
+        value = payoff[..., T, :]
+        for k in range(T - 1, -1, -1):
+            cont = p.p * value[..., 1:k + 2] + (1.0 - p.p) * value[..., :k + 1]
+            here = payoff[..., k, :k + 1]
+            stop[..., k, :k + 1] = here <= cont
+            value = np.minimum(here, cont)
+        return value[..., 0], stop
+
+    def stop_weights(self, rules: np.ndarray) -> np.ndarray:
+        """Probability of ending the episode at each node, per stop rule."""
+        p, T = self.params, self.params.T
+        rules = np.asarray(rules, dtype=float)
+        batch = rules.shape[:-2]
+        weights = np.zeros(rules.shape)
+        reach = np.ones(batch + (1,))
+        for k in range(T + 1):
+            accept = np.ones(batch + (k + 1,)) if k == T else rules[..., k, :k + 1]
+            weights[..., k, :k + 1] = reach * accept
+            carry = reach * (1.0 - accept)
+            reach = np.zeros(batch + (k + 2,))
+            reach[..., 1:] += p.p * carry
+            reach[..., :-1] += (1.0 - p.p) * carry
+        return weights
+
+    def distribution(self, rule: np.ndarray) -> EmpiricalDistribution:
+        """Exact loss distribution of a stop rule: sorted atoms, equal losses merged."""
+        weights = self.stop_weights(rule)
+        keep = self.valid & (weights > 0.0)
+        losses, atom = np.unique(self.loss[keep], return_inverse=True)
+        w = np.bincount(atom, weights=weights[keep])
+        return EmpiricalDistribution(losses, w / w.sum())
+
+    def node_rule(self, feats, theta, s0: float | None = None) -> np.ndarray:
+        """Acceptance probabilities (action 0) of a Boltzmann policy at every node.
+
+        One ``feats.per_action_batch`` call per row k. A policy that reads
+        the budget is Markov on the lattice too: the budget after k waits
+        is s_k = (s_{k-1} - p_h) / gamma from s0, whatever the moves.
+        """
+        p, T = self.params, self.params.T
+        if feats.include_s and s0 is None:
+            raise InputError("a budget-aware policy needs the initial budget s0")
+        theta = np.asarray(theta, dtype=float)
+        rule = np.ones((T + 1, T + 1))
+        s = None if s0 is None else float(s0)
+        for k in range(T):
+            budget = None if s is None else np.full(k + 1, s)
+            logits = feats.per_action_batch(self.cost[k, :k + 1], k, budget) @ theta
+            logits -= logits.max(axis=1, keepdims=True)
+            e = np.exp(logits)
+            rule[k, :k + 1] = e[:, 0] / e.sum(axis=1)
+            if s is not None:
+                s = (s - p.p_h) / p.gamma
+        return rule
+
+    def mean_optimum(self) -> tuple[float, np.ndarray]:
+        value, rule = self.best_stop_rule(self.loss)
+        return float(value), rule
+
+    def cvar_optimum(self, alpha: float) -> tuple[float, np.ndarray]:
+        """min over stop rules of CVaR_alpha, and a rule attaining it.
+
+        For each stop rule nu + E[(D - nu)^+]/(1 - alpha) is piecewise
+        linear in nu with kinks at node losses, and a minimum of such
+        functions is concave between consecutive kinks, so scanning nu
+        over the node losses is exact.
+        """
+        nus = self.node_losses
+        excess = np.maximum(self.loss[None] - nus[:, None, None], 0.0)
+        values, rules = self.best_stop_rule(excess)
+        scan = nus + values / (1.0 - alpha)
+        best = int(np.argmin(scan))
+        return float(scan[best]), rules[best]
+
+    def constrained_optimum(self, alpha: float,
+                            beta: float) -> tuple[EmpiricalDistribution, np.ndarray]:
+        """Least-mean stop rule with CVaR_alpha <= beta from a Lagrangian scan.
+
+        Minimizes E[D + lam (D - nu)^+ / (1 - alpha)] over deterministic
+        stop rules for every nu in the node losses and every lam on a
+        geometric grid, then keeps the feasible rule with the least mean.
+        The result is feasible and exact for its rule; randomized rules
+        could lower the mean further.
+        """
+        lams = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+        nus = self.node_losses
+        excess = np.maximum(self.loss[None] - nus[:, None, None], 0.0) / (1.0 - alpha)
+        rules = np.concatenate([
+            self.best_stop_rule(self.loss[None] + lam * excess)[1] for lam in lams
+        ])
+        rules = np.unique(rules.reshape(len(rules), -1), axis=0).reshape(-1, *self.loss.shape)
+        weights = self.stop_weights(rules).reshape(len(rules), -1)
+        losses = self.loss.reshape(-1)
+        means = weights @ losses
+        node_excess = np.maximum(losses[:, None] - nus[None, :], 0.0)
+        cvars = (nus[None, :] + weights @ node_excess / (1.0 - alpha)).min(axis=1)
+        feasible = np.flatnonzero(cvars <= beta)
+        if feasible.size == 0:
+            raise InputError(f"no scanned stop rule meets CVaR <= {beta}")
+        best = int(feasible[np.argmin(means[feasible])])
+        return self.distribution(rules[best]), rules[best]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SimulationError
-from .policy import grad_log_prob, sample_action
+from .policy import action_probabilities, grad_log_prob, sample_action
 from .risk import RiskSpec
 
 __all__ = [
@@ -265,8 +265,6 @@ def enumerate_trajectories(
     Probabilities include both policy and transition factors and sum to
     one when every path terminates within the cap.
     """
-    from .policy import action_probabilities
-
     theta = np.asarray(theta, dtype=float)
     out: list[tuple[float, Trajectory]] = []
 

@@ -6,8 +6,9 @@ holding fee p_h and moves the cost to f_u*c with probability p, else
 f_d*c. All per-step costs are discounted by gamma^k in the episode loss.
 
 Besides the step API this module provides batched lockstep rollouts (the
-hot path for training and evaluation) and an exact loss-distribution
-oracle that sums over every up/down path of the binary tree.
+hot path for training and evaluation) and the exact loss distribution of
+a fixed policy at any horizon, from the recombining cost lattice of
+``lattice.StoppingLattice``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import InputError
 from .features import AxisScale, RbfGrid, action_blocks, action_blocks_batch
+from .lattice import StoppingLattice
 from .mdp import AugState
-from .policy import action_probabilities
 from .risk import EmpiricalDistribution
 from .seeding import substream
 
@@ -135,23 +136,15 @@ class OptStopPolicyFeatures:
             cols.append(self.s_axis.unit(s))
         return np.stack([np.atleast_1d(col) for col in cols], axis=1)
 
-    def state_vector(self, state) -> np.ndarray:
-        if isinstance(state, AugState):
-            if state.at_terminal:
-                return np.zeros(self.rbf.n_features)
-            env_state, s = state.env_state, state.s
-        else:
-            env_state, s = state, None
-        z = self._unit_inputs(env_state.c, env_state.k, s)
-        return self.scale * self.rbf.batch(z)[0]
-
     def per_action(self, state) -> np.ndarray:
-        if isinstance(state, AugState) and state.at_terminal:
+        raw = not isinstance(state, AugState)
+        if not raw and state.at_terminal:
             return np.zeros((1, self.dim))
-        base = self.state_vector(state)
-        if not isinstance(state, AugState) and state.k >= self.params.T:
-            return action_blocks(base, self.n_actions)[:1]
-        return action_blocks(base, self.n_actions)
+        env_state, s = (state, None) if raw else (state.env_state, state.s)
+        z = self._unit_inputs(env_state.c, env_state.k, s)
+        blocks = action_blocks(self.scale * self.rbf.batch(z)[0], self.n_actions)
+        # a raw state at the horizon has only the forced acceptance
+        return blocks[:1] if raw and env_state.k >= self.params.T else blocks
 
     def per_action_batch(self, c: np.ndarray, k: int, s: np.ndarray | None = None) -> np.ndarray:
         z = self._unit_inputs(c, np.full(len(c), k), s)
@@ -361,43 +354,19 @@ def enumerate_loss_distribution(
     theta: np.ndarray | None,
     params: OptStopParams,
     policy: str = "boltzmann",
-    max_horizon: int = 12,
+    max_horizon: int | None = None,
 ) -> EmpiricalDistribution:
-    """Exact distribution of the episode loss by summing over all paths.
+    """Exact loss distribution of a fixed policy, from the cost lattice, at any T.
 
-    ``policy`` may be "boltzmann" (uses feats/theta), "accept", or
-    "wait". Refuses horizons beyond ``max_horizon`` (the tree has 2^T
-    leaves per decision pattern).
+    ``policy`` may be "boltzmann" (the raw-state policy of feats/theta),
+    "accept", or "wait". Atoms are sorted, equal losses merged. An explicit
+    ``max_horizon`` refuses a longer horizon.
     """
-    if params.T > max_horizon:
+    if max_horizon is not None and params.T > max_horizon:
         raise InputError(f"enumeration refused: T={params.T} exceeds budget {max_horizon}")
-    atoms: dict[float, float] = {}
-
-    def add(loss: float, prob: float):
-        atoms[loss] = atoms.get(loss, 0.0) + prob
-
-    def accept_prob(c: float, k: int) -> float:
-        if policy == "accept":
-            return 1.0
-        if policy == "wait":
-            return 0.0
-        state = OptStopState(c, k)
-        return float(action_probabilities(theta, feats.per_action(state))[ACCEPT])
-
-    def walk(c: float, k: int, prob: float, loss: float, disc: float):
-        if k == params.T:
-            add(loss + disc * c, prob)
-            return
-        pa = accept_prob(c, k)
-        if pa > 0.0:
-            add(loss + disc * c, prob * pa)
-        pw = prob * (1.0 - pa)
-        if pw > 0.0:
-            fee = loss + disc * params.p_h
-            walk(c * params.f_u, k + 1, pw * params.p, fee, disc * params.gamma)
-            walk(c * params.f_d, k + 1, pw * (1.0 - params.p), fee, disc * params.gamma)
-
-    walk(params.c0, 0, 1.0, 0.0, 1.0)
-    losses = np.array(sorted(atoms))
-    weights = np.array([atoms[l] for l in losses])
-    return EmpiricalDistribution(losses, weights)
+    lattice = StoppingLattice(params)
+    if policy == "boltzmann":
+        return lattice.distribution(lattice.node_rule(feats, theta))
+    if policy not in ("accept", "wait"):
+        raise InputError(f"unknown policy {policy!r}")
+    return lattice.distribution(np.full(lattice.loss.shape, float(policy == "accept")))

@@ -8,28 +8,9 @@ with the analytic likelihood-ratio gradient
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, SimulationError
-from .schedules import Box
-
-
-@dataclass(frozen=True)
-class PolicyParams:
-    """Parameter vector with its projection box."""
-
-    theta: np.ndarray
-    bounds: Box
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        if self.theta.ndim != 1 or self.theta.size < 1:
-            raise InputError("theta must be a non-empty vector")
-
-    def projected(self) -> "PolicyParams":
-        return PolicyParams(self.bounds.project(self.theta), self.bounds)
 
 
 def action_probabilities(theta: np.ndarray, feats: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ reachable budget value is an exact dyadic rational, so augmented-state
 closures, value iteration, and trajectory enumeration are all exact in
 floating point. The full trajectory set has 10 elements.
 
-``StoppingLattice`` is the exact oracle for the optimal-stopping benchmark
-at its full horizon (see its docstring).
+``trade_off_certificate`` checks, with the library's exact lattice oracle,
+that an optimal-stopping instance has the mean/CVaR trade-off that
+acceptance criterion 6 needs.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 from cvarpg.features import action_blocks
+from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import AugState, FiniteMDP
-from cvarpg.optstop import ACCEPT, OptStopParams, OptStopState
-from cvarpg.policy import action_probabilities
-from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
+from cvarpg.optstop import OptStopParams
+from cvarpg.risk import cvar, tail_probability
 
 
 def make_diamond_mdp() -> FiniteMDP:
@@ -143,142 +144,6 @@ def diamond_features():
     return TabularPolicyFeatures(4, 2)
 
 
-class StoppingLattice:
-    """Exact oracle for the optimal-stopping benchmark on its cost lattice.
-
-    After k waits with u up-moves the cost is c0 f_u^u f_d^(k-u) whatever
-    the order of the moves, and the holding fees paid so far are
-    deterministic, so stopping at node (k, u) ends the episode with loss
-
-        D(k, u) = p_h (1 - gamma^k) / (1 - gamma) + gamma^k c0 f_u^u f_d^(k-u).
-
-    The tree of 2^T paths recombines into (T+1)(T+2)/2 nodes (231 at
-    T = 20). Every stop rule that is Markov in (c, k) has its exact loss
-    distribution from one forward pass over the nodes, and the best stop
-    rule for any node payoff g(D) comes from backward induction (Bauerle &
-    Ott 2011, "Markov decision processes with average-value-at-risk
-    criteria"): g = D for the mean; g = (D - nu)^+ inside a
-    Rockafellar-Uryasev scan over nu for CVaR; g = D + lam (D - nu)^+ /
-    (1 - alpha) for the Lagrangian of the CVaR-constrained problem.
-
-    Stop rules are (T+1, T+1) arrays of acceptance probabilities indexed
-    [k, u]; entries with u > k are ignored and row T is forced to accept.
-    """
-
-    def __init__(self, params: OptStopParams):
-        self.params = params
-        T = params.T
-        k = np.arange(T + 1)[:, None]
-        u = np.arange(T + 1)[None, :]
-        self.valid = u <= k
-        disc = params.gamma**k
-        if params.gamma == 1.0:
-            fees = params.p_h * k
-        else:
-            fees = params.p_h * (1.0 - disc) / (1.0 - params.gamma)
-        cost = params.c0 * params.f_u ** np.minimum(u, k) * params.f_d ** np.maximum(k - u, 0)
-        self.cost = np.where(self.valid, cost, 0.0)
-        self.loss = np.where(self.valid, fees + disc * cost, 0.0)
-        self.node_losses = np.unique(self.loss[self.valid])
-
-    def best_stop_rule(self, payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backward induction for min E[payoff at the stopping node].
-
-        ``payoff`` has shape (..., T+1, T+1); leading axes are independent
-        problems. Returns the optimal values at the root and the stop
-        rules (ties stop).
-        """
-        p, T = self.params, self.params.T
-        stop = np.zeros(payoff.shape, dtype=bool)
-        stop[..., T, :] = True
-        value = payoff[..., T, :]
-        for k in range(T - 1, -1, -1):
-            cont = p.p * value[..., 1:k + 2] + (1.0 - p.p) * value[..., :k + 1]
-            here = payoff[..., k, :k + 1]
-            stop[..., k, :k + 1] = here <= cont
-            value = np.minimum(here, cont)
-        return value[..., 0], stop
-
-    def stop_weights(self, rules: np.ndarray) -> np.ndarray:
-        """Probability of ending the episode at each node, per stop rule."""
-        p, T = self.params, self.params.T
-        rules = np.asarray(rules, dtype=float)
-        batch = rules.shape[:-2]
-        weights = np.zeros(rules.shape)
-        reach = np.ones(batch + (1,))
-        for k in range(T + 1):
-            accept = np.ones(batch + (k + 1,)) if k == T else rules[..., k, :k + 1]
-            weights[..., k, :k + 1] = reach * accept
-            carry = reach * (1.0 - accept)
-            reach = np.zeros(batch + (k + 2,))
-            reach[..., 1:] += p.p * carry
-            reach[..., :-1] += (1.0 - p.p) * carry
-        return weights
-
-    def distribution(self, rule: np.ndarray) -> EmpiricalDistribution:
-        weights = self.stop_weights(rule)
-        keep = self.valid & (weights > 0.0)
-        w = weights[keep]
-        return EmpiricalDistribution(self.loss[keep], w / w.sum())
-
-    def boltzmann_rule(self, feats, theta) -> np.ndarray:
-        """Acceptance probabilities of a Boltzmann policy at every node."""
-        T = self.params.T
-        rule = np.ones((T + 1, T + 1))
-        for k in range(T):
-            for u in range(k + 1):
-                state = OptStopState(float(self.cost[k, u]), k)
-                rule[k, u] = action_probabilities(theta, feats.per_action(state))[ACCEPT]
-        return rule
-
-    def mean_optimum(self) -> tuple[float, np.ndarray]:
-        value, rule = self.best_stop_rule(self.loss)
-        return float(value), rule
-
-    def cvar_optimum(self, alpha: float) -> tuple[float, np.ndarray]:
-        """min over stop rules of CVaR_alpha, and a rule attaining it.
-
-        For each stop rule nu + E[(D - nu)^+]/(1 - alpha) is piecewise
-        linear in nu with kinks at node losses, and a minimum of such
-        functions is concave between consecutive kinks, so scanning nu
-        over the node losses is exact.
-        """
-        nus = self.node_losses
-        excess = np.maximum(self.loss[None] - nus[:, None, None], 0.0)
-        values, rules = self.best_stop_rule(excess)
-        scan = nus + values / (1.0 - alpha)
-        best = int(np.argmin(scan))
-        return float(scan[best]), rules[best]
-
-    def constrained_optimum(self, alpha: float,
-                            beta: float) -> tuple[EmpiricalDistribution, np.ndarray]:
-        """Least-mean stop rule with CVaR_alpha <= beta from a Lagrangian scan.
-
-        Minimizes E[D + lam (D - nu)^+ / (1 - alpha)] over deterministic
-        stop rules for every nu in the node losses and every lam on a
-        geometric grid, then keeps the feasible rule with the least mean.
-        The result is feasible and exact for its rule; randomized rules
-        could lower the mean further.
-        """
-        lams = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
-        nus = self.node_losses
-        excess = np.maximum(self.loss[None] - nus[:, None, None], 0.0) / (1.0 - alpha)
-        rules = np.concatenate([
-            self.best_stop_rule(self.loss[None] + lam * excess)[1] for lam in lams
-        ])
-        rules = np.unique(rules.reshape(len(rules), -1), axis=0).reshape(-1, *self.loss.shape)
-        weights = self.stop_weights(rules).reshape(len(rules), -1)
-        losses = self.loss.reshape(-1)
-        means = weights @ losses
-        node_excess = np.maximum(losses[:, None] - nus[None, :], 0.0)
-        cvars = (nus[None, :] + weights @ node_excess / (1.0 - alpha)).min(axis=1)
-        feasible = np.flatnonzero(cvars <= beta)
-        if feasible.size == 0:
-            raise ValueError(f"no scanned stop rule meets CVaR <= {beta}")
-        best = int(feasible[np.argmin(means[feasible])])
-        return self.distribution(rules[best]), rules[best]
-
-
 def trade_off_certificate(params: OptStopParams, alpha: float, beta: float,
                           factor: float) -> dict:
     """Exact check that a benchmark instance has a mean/CVaR trade-off at beta.
@@ -290,16 +155,13 @@ def trade_off_certificate(params: OptStopParams, alpha: float, beta: float,
     probability at or above beta, and a mean no lower.
     """
     lattice = StoppingLattice(params)
-    _, rn_rule = lattice.mean_optimum()
-    rn = lattice.distribution(rn_rule)
+    rn = lattice.distribution(lattice.mean_optimum()[1])
     rs, _ = lattice.constrained_optimum(alpha, beta)
     summary = {
         name: (d.mean(), cvar(d, alpha), tail_probability(d, beta))
         for name, d in (("risk_neutral", rn), ("constrained", rs))
     }
-    (rn_mean, rn_cvar, rn_tail), (rs_mean, rs_cvar, rs_tail) = (
-        summary["risk_neutral"], summary["constrained"]
-    )
+    (rn_mean, rn_cvar, rn_tail), (rs_mean, rs_cvar, rs_tail) = summary.values()
     summary["ok"] = (
         rn_cvar >= beta / factor
         and rs_cvar <= factor * rn_cvar

@@ -444,3 +444,19 @@ def test_train_doubles_cap_when_multiplier_pins(variant):
     if variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
         assert np.array_equal(result.iterate.u, tail.iterate.u)
     assert (result.lambda_max, result.doublings) == (tail.lambda_max, tail.doublings + 1)
+
+
+def test_critic_features_built_once_per_state(monkeypatch):
+    # interior successors carry their features over from the step before;
+    # the raw critic has no terminal step
+    calls = {ChainFeatures: 0, _RawCritic: 0}
+    for cls in calls:
+        def counted(self, state, cls=cls, method=cls.__call__):
+            calls[cls] += 1
+            return method(self, state)
+        monkeypatch.setattr(cls, "__call__", counted)
+    # frozen multipliers, so the quantile step reads no initial-state features
+    result = _run_ac(AcVariant.ALTERNATIVE_TWO_CRITIC, episodes=12, freeze=True)
+    steps = [rec["episode_steps"] for rec in result.history]
+    assert max(steps) > 1
+    assert calls == {ChainFeatures: sum(steps) + len(steps), _RawCritic: sum(steps)}

@@ -274,18 +274,25 @@ def test_cli_end_to_end(tmp_path):
 
 
 def test_cli_enumerate_oracle(tmp_path):
-    cfg_path = tmp_path / "small.cfg"
-    cfg_path.write_text("algorithm = PG\nenv.T = 6\n")
-    res = _run_cli(["enumerate-oracle", "--config", str(cfg_path),
-                    "--policy", "uniform", "--out", str(tmp_path / "atoms.csv")], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "atoms=" in res.stdout
-    rows = (tmp_path / "atoms.csv").read_text().strip().splitlines()
-    assert rows[0] == "loss,weight"
-    weights = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    for T in (6, 20):  # the lattice serves the full horizon
+        cfg_path = tmp_path / f"T{T}.cfg"
+        cfg_path.write_text(f"algorithm = PG\nenv.T = {T}\n")
+        atoms = tmp_path / f"atoms{T}.csv"
+        res = _run_cli(["enumerate-oracle", "--config", str(cfg_path),
+                        "--policy", "uniform", "--out", str(atoms)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "atoms=" in res.stdout
+        rows = atoms.read_text().strip().splitlines()
+        assert rows[0] == "loss,weight"
+        weights = np.array([float(r.split(",")[1]) for r in rows[1:]])
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    big = tmp_path / "big.cfg"
-    big.write_text("algorithm = PG\nenv.T = 20\n")
-    res = _run_cli(["enumerate-oracle", "--config", str(big)], tmp_path)
-    assert res.returncode == 2  # budget guard refuses the full horizon
+
+def test_bench_oracle_workload_runs_traced():
+    # traced mode wraps every library name the benchmark lists, so a rename
+    # or signature change that would break the benchmark fails here
+    res = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "oracle", "--seed", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.strip().splitlines()[-1])["correct"] is True

@@ -3,7 +3,10 @@ import pytest
 
 from cvarpg import optstop
 from cvarpg.errors import InputError
-from cvarpg.mdp import AugmentedCostMode, augment, rollout
+from cvarpg.lattice import StoppingLattice
+from cvarpg.mdp import (
+    AugmentedCostMode, AugState, augment, discounted_loss, enumerate_trajectories, rollout,
+)
 from cvarpg.optstop import (
     ACCEPT,
     BUDGET_KNOTS,
@@ -17,9 +20,9 @@ from cvarpg.optstop import (
     rollout_batch,
     rollout_batch_augmented,
 )
-from cvarpg.risk import RiskSpec, cvar
+from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.seeding import substream
-from conftest import StoppingLattice, trade_off_certificate
+from conftest import trade_off_certificate
 
 PAPER = OptStopParams()  # c0=1, p_h=0.1, T=20, f_u=1.5, f_d=0.8, p=0.65, gamma=0.95
 
@@ -96,8 +99,13 @@ def test_enumerate_always_wait_binomial():
 
 
 def test_enumeration_budget_guard():
+    # the lattice serves the full horizon; only an explicit cap below T refuses
+    dist = enumerate_loss_distribution(None, None, OptStopParams(T=20), policy="wait")
+    assert len(dist) == 21 and dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
-        enumerate_loss_distribution(None, None, OptStopParams(T=13), policy="wait")
+        enumerate_loss_distribution(None, None, OptStopParams(T=13), policy="wait", max_horizon=12)
+    with pytest.raises(InputError):
+        enumerate_loss_distribution(None, None, OptStopParams(T=3), policy="stay")
 
 
 def test_enumerate_uniform_matches_monte_carlo():
@@ -128,20 +136,45 @@ def test_enumerate_uniform_matches_monte_carlo():
 ])
 @pytest.mark.parametrize("policy", ["accept", "wait", "boltzmann"])
 def test_lattice_matches_path_enumeration(params, policy):
-    lattice = StoppingLattice(params)
     feats = OptStopPolicyFeatures(params)
     theta = np.random.default_rng(8).normal(0.0, 1.5, feats.dim)
-    rule = {
-        "accept": np.ones_like(lattice.loss),
-        "wait": np.zeros_like(lattice.loss),
-        "boltzmann": lattice.boltzmann_rule(feats, theta),
-    }[policy]
-    exact = enumerate_loss_distribution(feats, theta, params, policy=policy)
-    got = lattice.distribution(rule)
+    if policy != "boltzmann":
+        # a logit gap of 1000 on one bias weight makes the softmax exactly 0/1
+        theta = np.zeros(feats.dim)
+        theta[feats.rbf.n_features - 1 if policy == "accept" else -1] = 1000.0
+    paths = enumerate_trajectories(OptStopEnv(params), feats, theta, params.gamma, params.T + 2)
+    exact = EmpiricalDistribution([t.loss for _, t in paths], [p for p, _ in paths])
+    got = enumerate_loss_distribution(feats, theta, params, policy=policy)
+    assert np.all(np.diff(got.samples) > 0.0)  # sorted, equal losses merged
     # path-order cost products differ from the lattice's by an ulp, so the
     # atoms need not match one for one; the risk figures must
     assert got.mean() == pytest.approx(exact.mean(), rel=0.0, abs=1e-12)
     assert cvar(got, 0.9) == pytest.approx(cvar(exact, 0.9), rel=0.0, abs=1e-12)
+
+
+def test_budget_aware_node_rule_matches_augmented_rollouts():
+    params = OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)  # criterion 6's instance
+    lattice = StoppingLattice(params)
+    feats = OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0))
+    theta = np.random.default_rng(11).normal(0.0, 0.5, feats.dim)
+    theta[-1] += 1.0
+    # accept more as the budget grows: holding s at s0 would move the exact
+    # mean by about 15 standard errors
+    theta[:feats.rbf.n_features - 1] += 3.0 * (feats.rbf.centers[:, 2] - 0.5)
+    s0, n, alpha = 5.0, 20_000, 0.9
+    exact = lattice.distribution(lattice.node_rule(feats, theta, s0))
+    batch = rollout_batch_augmented(OptStopEnv(params), feats, theta, s0, 3, ("lat",), n,
+                                    with_scores=False)
+    # every loss is a node loss at its depth (entries past the diagonal are 0)
+    gap = np.abs(batch.losses[:, None] - lattice.loss[batch.lengths - 1]).min(axis=1)
+    assert np.all(gap <= 1e-12 * batch.losses)
+    assert abs(batch.losses.mean() - exact.mean()) <= 6.0 * np.sqrt(exact.variance() / n)
+    excess = np.maximum(exact.samples - value_at_risk(exact, alpha), 0.0)
+    se_cvar = np.sqrt((exact.weights @ excess**2 - (exact.weights @ excess) ** 2) / n) / (1 - alpha)
+    sampled = cvar(EmpiricalDistribution(batch.losses), alpha)
+    assert abs(sampled - cvar(exact, alpha)) <= 6.0 * se_cvar
+    with pytest.raises(InputError):
+        lattice.node_rule(feats, theta)  # the budget-aware policy needs s0
 
 
 def test_lattice_optima_on_default_constants():
@@ -217,8 +250,6 @@ def test_augmented_batch_matches_sequential():
     aug = augment(env, 1.3, risk, AugmentedCostMode.STANDARD, s0=s0)
     for j in range(n):
         traj = rollout(aug, feats, theta, substream(23, "aq", j), 20, params.gamma)
-        from cvarpg.mdp import discounted_loss
-
         d = discounted_loss(traj.costs[:-1], params.gamma)
         assert d == batch.losses[j]
         assert traj.states[-2].s == batch.final_budgets[j]
@@ -279,8 +310,6 @@ def test_policy_features_shapes_and_scale():
 
 
 def test_critic_features_blocks():
-    from cvarpg.mdp import AugState
-
     cf = OptStopCriticFeatures(PAPER, centers_per_dim=3, include_s=True, s_range=(-10, 10))
     interior = cf(AugState(OptStopState(2.0, 2), 1.0))
     assert interior.shape == (cf.dim,)

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from cvarpg.errors import InputError
 from cvarpg.mdp import Trajectory
 from cvarpg.policy import (
-    PolicyParams,
     action_probabilities,
     grad_log_prob,
     sample_action,
     trajectory_score,
 )
-from cvarpg.schedules import Box
 
 
 def test_uniform_at_zero_parameters():
@@ -102,16 +99,6 @@ def test_sample_action_inverse_cdf():
     assert sample_action(theta, feats, 0.2) == 0
     assert sample_action(theta, feats, 0.7) == 1
     assert sample_action(theta, feats, 0.999999) == 1
-
-
-def test_params_projection_idempotent():
-    box = Box(-60.0, 60.0)
-    params = PolicyParams(np.array([100.0, -100.0, 3.0]), box)
-    proj = params.projected()
-    assert np.array_equal(proj.theta, [60.0, -60.0, 3.0])
-    assert np.array_equal(proj.projected().theta, proj.theta)
-    with pytest.raises(InputError):
-        PolicyParams(np.array([]), box)
 
 
 class _PairFeatures:
