@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .mdp import AugState
-from .policy import grad_log_prob, sample_action
+from .policy import action_probabilities, grad_log_prob, sample_action
 from .risk import RiskSpec
 from .schedules import Box, CapController, Decision, PerturbationSchedule, StepSchedule
 
@@ -260,9 +260,10 @@ def ac_train(
             else:
                 if env.n_actions(state.env_state) > 1:
                     feats = policy_features.per_action(state)
-                    action = sample_action(theta, feats, rng.random())
+                    probs = action_probabilities(theta, feats)
+                    action = sample_action(probs, rng.random())
                     if learn:
-                        glp = grad_log_prob(theta, feats, action)
+                        glp = grad_log_prob(feats, probs, action)
                 else:
                     action = 0
                 x_next, env_cost, env_done = env.step(state.env_state, action, rng)

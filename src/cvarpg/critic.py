@@ -254,6 +254,12 @@ def sample_occupation_transitions(
     theta = np.asarray(theta, dtype=float)
     gamma = aug.risk.gamma
     zero = np.zeros(critic_features.dim if hasattr(critic_features, "dim") else len(critic_features(None)))
+
+    def draw(state) -> int:
+        if aug.n_actions(state) == 1:
+            return 0
+        return sample_action(action_probabilities(theta, feature_map.per_action(state)), rng.random())
+
     out = []
     for _ in range(n):
         k_stop = int(rng.geometric(1.0 - gamma)) - 1
@@ -262,24 +268,12 @@ def sample_occupation_transitions(
         for _step in range(min(k_stop, horizon_cap)):
             if done:
                 break
-            n_act = aug.n_actions(state)
-            action = (
-                sample_action(theta, feature_map.per_action(state), rng.random())
-                if n_act > 1
-                else 0
-            )
-            st = aug.step_full(state, action, rng)
+            st = aug.step_full(state, draw(state), rng)
             state, done = st.next_state, st.done
         if done:
             out.append(Transition(zero, zero, 0.0, done=True))
             continue
-        n_act = aug.n_actions(state)
-        action = (
-            sample_action(theta, feature_map.per_action(state), rng.random())
-            if n_act > 1
-            else 0
-        )
-        st = aug.step_full(state, action, rng)
+        st = aug.step_full(state, draw(state), rng)
         phi = critic_features(state)
         phi_next = critic_features(st.next_state) if not st.done else zero
         out.append(Transition(phi, phi_next, st.cost, state, st.next_state, st.done))

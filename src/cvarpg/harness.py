@@ -19,7 +19,6 @@ import numpy as np
 from .ac import AcIterate, AcResult, AcVariant, ac_train
 from .config import ExperimentConfig
 from .errors import InputError
-from .mdp import AugState
 from .optstop import (
     OptStopCriticFeatures,
     OptStopEnv,
@@ -184,8 +183,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         stack = config.ac_stack()
         orig_cfeats = None
         if variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
-            raw = critic_feature_map(config, include_s=False)
-            orig_cfeats = _RawStateCritic(raw)
+            orig_cfeats = critic_feature_map(config, include_s=False)
         result: AcResult = ac_train(
             env,
             feats,
@@ -217,19 +215,6 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
                              result.history)
 
     raise InputError(f"unknown algorithm {algorithm!r}")
-
-
-class _RawStateCritic:
-    """Adapter: evaluate augmented-state critic features on raw states."""
-
-    def __init__(self, base: OptStopCriticFeatures):
-        self.base = base
-        self.dim = base.dim
-
-    def __call__(self, env_state):
-        if env_state is None:
-            return np.zeros(self.dim)
-        return self.base(AugState(env_state, 0.0))
 
 
 def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,

@@ -17,13 +17,15 @@ CVaR-constrained problem.
 
 Stop rules are (T+1, T+1) arrays of acceptance probabilities indexed
 [k, u]; entries with u > k are ignored and row T is forced to accept.
-Parameters and feature maps are read by attribute only.
+Parameters and feature maps are read by attribute only, so the module
+imports ``policy`` for the Boltzmann softmax but not ``optstop``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InputError
+from .policy import action_probabilities
 from .risk import EmpiricalDistribution
 
 
@@ -94,24 +96,23 @@ class StoppingLattice:
     def node_rule(self, feats, theta, s0: float | None = None) -> np.ndarray:
         """Acceptance probabilities (action 0) of a Boltzmann policy at every node.
 
-        One ``feats.per_action_batch`` call per row k. A policy that reads
-        the budget is Markov on the lattice too: the budget after k waits
-        is s_k = (s_{k-1} - p_h) / gamma from s0, whatever the moves.
+        One ``feats.per_action_batch`` call and one softmax over the
+        T(T+1)/2 decision nodes. A policy that reads the budget is Markov
+        on the lattice too: the budget after k waits is
+        s_k = (s_{k-1} - p_h) / gamma from s0, whatever the moves.
         """
         p, T = self.params, self.params.T
-        if feats.include_s and s0 is None:
-            raise InputError("a budget-aware policy needs the initial budget s0")
-        theta = np.asarray(theta, dtype=float)
+        k, u = np.nonzero(self.valid[:T])
+        budget = None
+        if s0 is not None:
+            s = np.empty(T)
+            s[0] = s0
+            for i in range(1, T):
+                s[i] = (s[i - 1] - p.p_h) / p.gamma
+            budget = s[k]
+        probs = action_probabilities(theta, feats.per_action_batch(self.cost[k, u], k, budget))
         rule = np.ones((T + 1, T + 1))
-        s = None if s0 is None else float(s0)
-        for k in range(T):
-            budget = None if s is None else np.full(k + 1, s)
-            logits = feats.per_action_batch(self.cost[k, :k + 1], k, budget) @ theta
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            rule[k, :k + 1] = e[:, 0] / e.sum(axis=1)
-            if s is not None:
-                s = (s - p.p_h) / p.gamma
+        rule[k, u] = probs[:, 0]
         return rule
 
     def mean_optimum(self) -> tuple[float, np.ndarray]:

@@ -86,8 +86,9 @@ def rollout(env, feature_map, theta, rng, horizon_cap: int, gamma: float) -> Tra
         n_act = env.n_actions(state)
         if n_act > 1:
             feats = feature_map.per_action(state)
-            action = sample_action(theta, feats, rng.random())
-            score += grad_log_prob(theta, feats, action)
+            probs = action_probabilities(theta, feats)
+            action = sample_action(probs, rng.random())
+            score += grad_log_prob(feats, probs, action)
         else:
             action = 0
         next_state, cost, done = env.step(state, action, rng)
@@ -280,7 +281,7 @@ def enumerate_trajectories(
         else:
             feats, probs = None, np.ones(1)
         for a in range(n_act):
-            glp = grad_log_prob(theta, feats, a) if n_act > 1 else 0.0
+            glp = grad_log_prob(feats, probs, a) if n_act > 1 else 0.0
             for br_prob, nxt, cost, done in env.branches(state, a):
                 p = prob * probs[a] * br_prob
                 if p == 0.0:

@@ -20,6 +20,7 @@ from .errors import InputError
 from .features import AxisScale, RbfGrid, action_blocks, action_blocks_batch
 from .lattice import StoppingLattice
 from .mdp import AugState
+from .policy import action_probabilities, grad_log_prob, sample_action
 from .risk import EmpiricalDistribution
 from .seeding import substream
 
@@ -133,6 +134,8 @@ class OptStopPolicyFeatures:
     def _unit_inputs(self, c, k, s=None) -> np.ndarray:
         cols = [self.c_axis.unit(c), np.asarray(k, dtype=float) / self.params.T]
         if self.include_s:
+            if s is None:
+                raise InputError("budget-aware features need the budget s")
             cols.append(self.s_axis.unit(s))
         return np.stack([np.atleast_1d(col) for col in cols], axis=1)
 
@@ -146,7 +149,8 @@ class OptStopPolicyFeatures:
         # a raw state at the horizon has only the forced acceptance
         return blocks[:1] if raw and env_state.k >= self.params.T else blocks
 
-    def per_action_batch(self, c: np.ndarray, k: int, s: np.ndarray | None = None) -> np.ndarray:
+    def per_action_batch(self, c: np.ndarray, k, s: np.ndarray | None = None) -> np.ndarray:
+        """Features of len(c) raw states, (m, 2, dim); k is one step index or one per state."""
         z = self._unit_inputs(c, np.full(len(c), k), s)
         return action_blocks_batch(self.scale * self.rbf.batch(z), self.n_actions)
 
@@ -192,10 +196,18 @@ class OptStopCriticFeatures:
         self.n_interior = self.rbf.n_features + self.knots.size
         self.dim = self.n_interior + 3
 
-    def __call__(self, state: AugState | None) -> np.ndarray:
+    def __call__(self, state: AugState | OptStopState | None) -> np.ndarray:
+        """Features of an augmented state, of the sink (None) or of a raw state.
+
+        A raw environment state is interior and carries no budget.
+        """
         out = np.zeros(self.dim)
         if state is None:
             return out
+        if isinstance(state, OptStopState):
+            if self.include_s:
+                raise InputError("budget-aware critic features need an augmented state")
+            state = AugState(state, 0.0)
         nb, ni = self.rbf.n_features, self.n_interior
         if state.at_terminal:
             if self.include_s:
@@ -286,14 +298,10 @@ def _rollout(
             rows = idx[lo:lo + ROLLOUT_BLOCK]
             budget = s[rows] if s is not None and feats.include_s else None
             fa = feats.per_action_batch(c[rows], k, budget)  # (m, 2, dim)
-            logits = fa @ theta
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            probs = e / e.sum(axis=1, keepdims=True)
-            act = (u[rows, 2 * k] >= probs[:, ACCEPT]).astype(np.int64)
+            probs = action_probabilities(theta, fa)
+            act = sample_action(probs, u[rows, 2 * k])
             if with_scores:
-                glp = fa[np.arange(rows.size), act] - np.einsum("ma,maf->mf", probs, fa)
-                scores[rows] += glp
+                scores[rows] += grad_log_prob(fa, probs, act)
             accepted[lo:lo + rows.size] = act == ACCEPT
         acc_idx = idx[accepted]
         losses[acc_idx] += disc * c[acc_idx]

@@ -32,7 +32,6 @@ __all__ = [
     "value_at_risk",
     "h_alpha",
     "cvar",
-    "cvar_oracle",
     "tail_probability",
 ]
 
@@ -131,17 +130,6 @@ def cvar(dist: EmpiricalDistribution, alpha: float) -> float:
     arithmetic and differ only by round-off, in practice in the last ulp.
     """
     return h_alpha(dist, value_at_risk(dist, alpha), alpha)
-
-
-def cvar_oracle(dist: EmpiricalDistribution, alpha: float, grid) -> float:
-    """Brute-force min of h_alpha over an explicit grid (test oracle only)."""
-    _check_alpha(alpha)
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size == 0:
-        raise InputError("grid must be non-empty")
-    excess = np.maximum(dist.samples[None, :] - grid[:, None], 0.0)
-    values = grid + (excess @ dist.weights) / (1.0 - alpha)
-    return float(values.min())
 
 
 def tail_probability(dist: EmpiricalDistribution, threshold: float) -> float:

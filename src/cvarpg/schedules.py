@@ -110,18 +110,18 @@ class Decision(Enum):
 
 
 def relative_change(history, window: int) -> float:
-    """Max step-to-step relative change over the trailing window."""
+    """Max step-to-step relative change over the trailing window.
+
+    Each step from prev to cur changes by max|cur - prev| / (1 + max|cur|);
+    the iterates of the window are stacked as rows of one array.
+    """
     if len(history) < 2:
         return np.inf
-    tail = history[-(window + 1):]
-    worst = 0.0
-    for prev, cur in zip(tail, tail[1:]):
-        prev = np.atleast_1d(np.asarray(prev, dtype=float))
-        cur = np.atleast_1d(np.asarray(cur, dtype=float))
-        num = float(np.max(np.abs(cur - prev)))
-        den = 1.0 + float(np.max(np.abs(cur)))
-        worst = max(worst, num / den)
-    return worst
+    tail = np.asarray(history[-(window + 1):], dtype=float)
+    tail = tail.reshape(len(tail), -1)
+    num = np.abs(tail[1:] - tail[:-1]).max(axis=1)
+    den = 1.0 + np.abs(tail[1:]).max(axis=1)
+    return float((num / den).max())
 
 
 def lambda_max_controller(
@@ -148,7 +148,7 @@ def lambda_max_controller(
     cap_edge = lambda_max * (1.0 - margin)
     if np.all(tail >= cap_edge):
         return Decision.DOUBLE
-    lam_settled = relative_change(list(tail), window) < rel_tol
+    lam_settled = relative_change(tail, window) < rel_tol
     if lam_settled and tail[-1] < cap_edge and params_converged:
         return Decision.ACCEPT
     return Decision.CONTINUE

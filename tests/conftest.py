@@ -8,18 +8,20 @@ floating point. The full trajectory set has 10 elements.
 
 ``trade_off_certificate`` checks, with the library's exact lattice oracle,
 that an optimal-stopping instance has the mean/CVaR trade-off that
-acceptance criterion 6 needs.
+acceptance criterion 6 needs. ``cvar_oracle`` is a grid brute force of
+the Rockafellar-Uryasev minimum that the library's CVaR is checked against.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from cvarpg.errors import InputError
 from cvarpg.features import action_blocks
 from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import AugState, FiniteMDP
 from cvarpg.optstop import OptStopParams
-from cvarpg.risk import cvar, tail_probability
+from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
 
 
 def make_diamond_mdp() -> FiniteMDP:
@@ -132,6 +134,18 @@ def enumerated_gradients(trajs, nu: float, lam: float, alpha: float, beta: float
     g_nu = lam - lam / (1.0 - alpha) * tail_prob
     g_lambda = nu - beta + tail_excess / (1.0 - alpha)
     return g_theta, g_nu, g_lambda
+
+
+def cvar_oracle(dist: EmpiricalDistribution, alpha: float, grid) -> float:
+    """Brute-force min of nu + E[(Z - nu)^+]/(1 - alpha) over an explicit grid of nu."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0,1), got {alpha}")
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    if grid.size == 0:
+        raise InputError("grid must be non-empty")
+    excess = np.maximum(dist.samples[None, :] - grid[:, None], 0.0)
+    values = grid + (excess @ dist.weights) / (1.0 - alpha)
+    return float(values.min())
 
 
 @pytest.fixture

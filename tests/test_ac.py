@@ -460,3 +460,28 @@ def test_critic_features_built_once_per_state(monkeypatch):
     steps = [rec["episode_steps"] for rec in result.history]
     assert max(steps) > 1
     assert calls == {ChainFeatures: sum(steps) + len(steps), _RawCritic: sum(steps)}
+
+
+def test_one_softmax_per_decision(monkeypatch):
+    # the draw and the score of a decision share its probabilities; the
+    # critic chain that _run_ac builds also featurizes each state once
+    from cvarpg import ac, critic, policy
+
+    counts = {"softmax": 0, "decisions": 0}
+
+    def counted_softmax(theta, feats, original=policy.action_probabilities):
+        counts["softmax"] += 1
+        return original(theta, feats)
+
+    def counted_features(self, state, original=TabularPolicyFeatures.per_action):
+        counts["decisions"] += 1
+        return original(self, state)
+
+    monkeypatch.setattr(policy, "action_probabilities", counted_softmax)
+    monkeypatch.setattr(critic, "action_probabilities", counted_softmax)
+    monkeypatch.setattr(ac, "action_probabilities", counted_softmax, raising=False)
+    monkeypatch.setattr(TabularPolicyFeatures, "per_action", counted_features)
+    result = _run_ac(AcVariant.SPSA_INCREMENTAL, episodes=12)
+    assert len(result.history) == 12
+    assert counts["decisions"] >= 12
+    assert counts["softmax"] == counts["decisions"]

@@ -28,12 +28,13 @@ from cvarpg.mdp import (
     rollout,
 )
 from cvarpg.pg import estimate_from_trajectories
-from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, cvar_oracle
+from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar
 from cvarpg.schedules import StepSchedule
 from cvarpg.seeding import substream
 from conftest import (
     ChainFeatures,
     TabularPolicyFeatures,
+    cvar_oracle,
     enumerated_gradients,
     enumerated_objective,
     make_diamond_mdp,

@@ -288,11 +288,14 @@ def test_cli_enumerate_oracle(tmp_path):
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bench_oracle_workload_runs_traced():
+@pytest.mark.parametrize("workload", ["oracle", "pg_train", "ac_train"])
+def test_bench_oracle_workload_runs_traced(workload):
     # traced mode wraps every library name the benchmark lists, so a rename
-    # or signature change that would break the benchmark fails here
+    # or signature change that would break the benchmark fails here; the
+    # training workloads run the wrapped policy names inside the rollout
+    # kernel and the actor-critic loop
     res = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "oracle", "--seed", "1", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--trace", "1"],
         capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout.strip().splitlines()[-1])["correct"] is True

@@ -177,6 +177,49 @@ def test_budget_aware_node_rule_matches_augmented_rollouts():
         lattice.node_rule(feats, theta)  # the budget-aware policy needs s0
 
 
+def test_node_rule_featurizes_all_nodes_in_one_call(monkeypatch):
+    params = OptStopParams(T=12)
+    feats = OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0))
+    theta = np.random.default_rng(5).normal(0.0, 1.0, feats.dim)
+    rows = []
+    original = OptStopPolicyFeatures.per_action_batch
+
+    def counted(self, c, k, s=None):
+        rows.append(len(c))
+        return original(self, c, k, s)
+
+    monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", counted)
+    rule = StoppingLattice(params).node_rule(feats, theta, 5.0)
+    assert rows == [params.T * (params.T + 1) // 2]
+    # node (k, u) is the raw state with cost c0 f_u^u f_d^(k-u) and budget s_k
+    s = 5.0
+    for k in range(params.T):
+        for u in range(k + 1):
+            state = AugState(OptStopState(params.c0 * params.f_u**u * params.f_d**(k - u), k), s)
+            probs = np.exp(feats.per_action(state) @ theta)
+            assert rule[k, u] == pytest.approx(probs[ACCEPT] / probs.sum(), rel=1e-12)
+        s = (s - params.p_h) / params.gamma
+    assert np.all(rule[params.T] == 1.0)
+
+
+def test_budget_aware_features_refuse_a_missing_budget():
+    feats = OptStopPolicyFeatures(PAPER, include_s=True)
+    with pytest.raises(InputError):
+        feats.per_action(OptStopState(1.0, 0))
+    with pytest.raises(InputError):
+        feats.per_action_batch(np.array([1.0, 1.2]), 3, None)
+    assert feats.per_action(AugState(OptStopState(1.0, 0), 0.5)).shape == (2, feats.dim)
+
+
+def test_critic_features_of_raw_states():
+    # a raw environment state is an interior state without a budget
+    raw = OptStopCriticFeatures(PAPER, include_s=False)
+    for state in (OptStopState(1.0, 0), OptStopState(2.5, 7), OptStopState(0.3, PAPER.T)):
+        assert np.array_equal(raw(state), raw(AugState(state, 0.0)))
+    with pytest.raises(InputError):
+        OptStopCriticFeatures(PAPER, include_s=True)(OptStopState(1.0, 0))
+
+
 def test_lattice_optima_on_default_constants():
     # waiting from cost c costs p_h + gamma (p f_u + (1-p) f_d) c = 0.1 + 1.192 c > c,
     # so immediate acceptance is optimal for the mean and for CVaR

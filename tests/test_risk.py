@@ -8,11 +8,11 @@ from cvarpg.risk import (
     EmpiricalDistribution,
     RiskSpec,
     cvar,
-    cvar_oracle,
     h_alpha,
     tail_probability,
     value_at_risk,
 )
+from conftest import cvar_oracle
 
 UNIFORM4 = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
 

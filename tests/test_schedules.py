@@ -165,6 +165,24 @@ def test_relative_change():
     flat = [np.array([1.0, 2.0])] * 10
     assert relative_change(flat, 5) == 0.0
 
+    def per_pair(history, window):
+        tail = history[-(window + 1):]
+        worst = 0.0
+        for prev, cur in zip(tail, tail[1:]):
+            prev, cur = np.atleast_1d(prev), np.atleast_1d(cur)
+            num = float(np.max(np.abs(cur - prev)))
+            worst = max(worst, num / (1.0 + float(np.max(np.abs(cur)))))
+        return worst
+
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n, window = int(rng.integers(2, 80)), int(rng.integers(2, 60))
+        scale = 10.0 ** rng.uniform(-6, 3)
+        scalars = list(rng.normal(0.0, scale, n))
+        vectors = list(rng.normal(0.0, scale, (n, int(rng.integers(1, 40)))))
+        for history in (scalars, vectors):
+            assert relative_change(history, window) == per_pair(history, window)
+
 
 def test_cap_controller_doubles_and_starts_a_fresh_round():
     controller = CapController(2.0, window=5)
