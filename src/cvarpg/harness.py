@@ -304,10 +304,11 @@ def _fmt(x) -> str:
 
 
 def write_losses_csv(path: Path, losses: np.ndarray, lengths: np.ndarray) -> None:
-    lines = ["episode,loss,T"]
-    for j, (loss, t) in enumerate(zip(losses, lengths)):
-        lines.append(f"{j},{_fmt(loss)},{int(t)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # repr of a Python float is what _fmt writes for a loss
+    losses = np.asarray(losses, dtype=float).tolist()
+    lengths = np.asarray(lengths, dtype=np.int64).tolist()
+    rows = [f"{j},{loss!r},{t}" for j, loss, t in zip(range(len(losses)), losses, lengths)]
+    path.write_text("\n".join(["episode,loss,T", *rows]) + "\n", encoding="utf-8")
 
 
 def write_history_csv(path: Path, history: list[dict]) -> None:

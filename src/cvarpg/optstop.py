@@ -8,7 +8,11 @@ f_d*c. All per-step costs are discounted by gamma^k in the episode loss.
 Besides the step API this module provides batched lockstep rollouts (the
 hot path for training and evaluation) and the exact loss distribution of
 a fixed policy at any horizon, from the recombining cost lattice of
-``lattice.StoppingLattice``.
+``lattice.StoppingLattice``. A batched rollout draws all of its episodes'
+uniforms in one vectorized pass (``seeding.substream_uniforms``) and, at
+each step, featurizes the policy once per distinct cost among the alive
+episodes, so its Python work grows with the distinct states, not with
+the episodes.
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ from .errors import InputError
 from .features import AxisScale, RbfGrid, action_blocks, action_blocks_batch
 from .lattice import StoppingLattice
 from .mdp import AugState
-from .policy import action_probabilities, grad_log_prob, sample_action
+from .policy import action_probabilities, action_scores, sample_action
 from .risk import EmpiricalDistribution
-from .seeding import substream
+from .seeding import substream_uniforms
 
 ACCEPT = 0
 WAIT = 1
@@ -238,28 +242,6 @@ class BatchRollouts:
     final_budgets: np.ndarray | None = None  # s at the terminal state, augmented runs
 
 
-def _pre_draw(seed: int, path: tuple, n: int, T: int, j0: int = 0) -> np.ndarray:
-    """Per-episode uniforms, 2 per step (action draw, then move draw).
-
-    Episode j consumes position 2k for its step-k action and 2k+1 for the
-    cost move, exactly matching the sequential rollout order, so batched
-    and per-episode simulation agree bit-for-bit. ``j0`` offsets the
-    episode index, which lets shards of a batch reproduce exactly the
-    episodes they would compute inside one big batch.
-    """
-    u = np.empty((n, 2 * T))
-    for j in range(n):
-        u[j] = substream(seed, *path, j0 + j).random(2 * T)
-    return u
-
-
-# Alive episodes are processed in blocks of this many rows at each lockstep
-# step, so the (rows, 2, dim) per-action array and the RBF temporaries stay
-# bounded whatever the batch size. Every row's arithmetic is the same in any
-# block, so the block size changes no result.
-ROLLOUT_BLOCK = 4096
-
-
 def _rollout(
     env: OptStopEnv,
     feats: OptStopPolicyFeatures,
@@ -271,50 +253,52 @@ def _rollout(
     j0: int,
     with_scores: bool,
 ) -> BatchRollouts:
-    """Lockstep kernel behind both public rollouts; ``s0=None`` is the raw env."""
+    """Lockstep kernel behind both public rollouts; ``s0=None`` is the raw env.
+
+    Episode j0 + j draws its uniforms from ``substream(seed, *path, j0 + j)``:
+    position 2k for its step-k action and 2k+1 for the cost move, the order
+    of the sequential rollout, so batched, sharded and per-episode
+    simulation agree bit for bit. Every alive episode has waited at each
+    earlier step, so all share one budget. At each step the policy is
+    featurized, and its softmax and scores computed, once per distinct cost
+    among the alive episodes; each episode then draws its own action.
+    """
     p = env.params
     theta = np.asarray(theta, dtype=float)
-    u = _pre_draw(seed, path, n, p.T, j0)
-    c = np.full(n, p.c0)
-    s = None if s0 is None else np.full(n, s0)
+    u = substream_uniforms(seed, path, j0, n, 2 * p.T)
+    idx = np.arange(n)       # alive episodes
+    c = np.full(n, p.c0)     # their costs
+    s = s0                   # their shared budget
     final_s = None if s0 is None else np.zeros(n)
-    alive = np.ones(n, dtype=bool)
     losses = np.zeros(n)
     scores = np.zeros((n, theta.size if with_scores else 0))
     lengths = np.zeros(n, dtype=np.int64)
     disc = 1.0
     for k in range(p.T + 1):
-        idx = np.flatnonzero(alive)
+        if k < p.T:
+            costs, inv = np.unique(c, return_inverse=True)
+            budget = np.full(costs.size, s) if s is not None and feats.include_s else None
+            fa = feats.per_action_batch(costs, k, budget)  # (distinct, 2, dim)
+            probs = action_probabilities(theta, fa)
+            act = sample_action(probs[inv], u[idx, 2 * k])
+            if with_scores:
+                scores[idx] += action_scores(fa, probs)[inv, act]
+            accepted = act == ACCEPT
+        else:  # the horizon forces acceptance
+            accepted = np.ones(idx.size, dtype=bool)
+        acc_idx = idx[accepted]
+        losses[acc_idx] += disc * c[accepted]
+        if s is not None:
+            final_s[acc_idx] = (s - c[accepted]) / p.gamma
+        lengths[acc_idx] = k + 1
+        waiting = ~accepted
+        idx, c = idx[waiting], c[waiting]
         if idx.size == 0:
             break
-        if k == p.T:
-            losses[idx] += disc * c[idx]
-            if s is not None:
-                final_s[idx] = (s[idx] - c[idx]) / p.gamma
-            lengths[idx] = k + 1
-            break
-        accepted = np.empty(idx.size, dtype=bool)
-        for lo in range(0, idx.size, ROLLOUT_BLOCK):
-            rows = idx[lo:lo + ROLLOUT_BLOCK]
-            budget = s[rows] if s is not None and feats.include_s else None
-            fa = feats.per_action_batch(c[rows], k, budget)  # (m, 2, dim)
-            probs = action_probabilities(theta, fa)
-            act = sample_action(probs, u[rows, 2 * k])
-            if with_scores:
-                scores[rows] += grad_log_prob(fa, probs, act)
-            accepted[lo:lo + rows.size] = act == ACCEPT
-        acc_idx = idx[accepted]
-        losses[acc_idx] += disc * c[acc_idx]
+        losses[idx] += disc * p.p_h
         if s is not None:
-            final_s[acc_idx] = (s[acc_idx] - c[acc_idx]) / p.gamma
-        lengths[acc_idx] = k + 1
-        alive[acc_idx] = False
-        wait_idx = idx[~accepted]
-        losses[wait_idx] += disc * p.p_h
-        if s is not None:
-            s[wait_idx] = (s[wait_idx] - p.p_h) / p.gamma
-        up = u[wait_idx, 2 * k + 1] < p.p
-        c[wait_idx] *= np.where(up, p.f_u, p.f_d)
+            s = (s - p.p_h) / p.gamma
+        c *= np.where(u[idx, 2 * k + 1] < p.p, p.f_u, p.f_d)
         disc *= p.gamma
     return BatchRollouts(losses, scores, lengths, final_s)
 

@@ -8,7 +8,7 @@ with the analytic likelihood-ratio gradient
 
 Features have shape (..., n_actions, dim): one decision is an
 (n_actions, dim) matrix, and any leading axes are a batch of decisions
-(the rollout kernel's alive episodes, the lattice's nodes). A caller
+(the rollout kernel's distinct costs, the lattice's nodes). A caller
 computes the probabilities of a decision once and passes them to both
 the draw and the score.
 """
@@ -49,6 +49,15 @@ def sample_action(probs: np.ndarray, u):
     return int(action) if action.ndim == 0 else action
 
 
+def action_scores(feats: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Exact gradient of log mu at every action, from the decisions' probabilities.
+
+    Returns shape (..., n_actions, dim), the shape of ``feats``.
+    """
+    feats = np.asarray(feats, dtype=float)
+    return feats - np.einsum("...a,...af->...f", probs, feats)[..., None, :]
+
+
 def grad_log_prob(feats: np.ndarray, probs: np.ndarray, action) -> np.ndarray:
     """Exact gradient of log mu at the chosen action, from the decision's probabilities.
 
@@ -59,18 +68,4 @@ def grad_log_prob(feats: np.ndarray, probs: np.ndarray, action) -> np.ndarray:
     n_actions = feats.shape[-2]
     if action.min() < 0 or action.max() >= n_actions:
         raise InputError(f"action outside support of size {n_actions}")
-    chosen = feats[np.indices(action.shape, sparse=True) + (action,)]
-    return chosen - np.einsum("...a,...af->...f", probs, feats)
-
-
-def trajectory_score(trajectory, theta: np.ndarray, feature_map) -> np.ndarray:
-    """Sum of per-step grad log mu over the recorded decision steps.
-
-    Steps with a single available action contribute nothing (log mu = 0).
-    """
-    total = np.zeros_like(np.asarray(theta, dtype=float))
-    for state, action in zip(trajectory.states[:-1], trajectory.actions):
-        feats = feature_map.per_action(state)
-        if feats.shape[0] > 1:
-            total += grad_log_prob(feats, action_probabilities(theta, feats), action)
-    return total
+    return action_scores(feats, probs)[np.indices(action.shape, sparse=True) + (action,)]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cvarpg import optstop
 from cvarpg.errors import InputError
 from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import (
@@ -321,14 +320,49 @@ def _assert_same_episodes(got, want, scores=True):
 
 
 @pytest.mark.parametrize("augmented", [False, True])
-def test_blocked_rollouts_match_one_block(monkeypatch, augmented):
-    n = 60
-    kernel, args = _kernel_and_args(augmented, n)
-    assert optstop.ROLLOUT_BLOCK >= n
-    whole = kernel(*args)
-    assert np.unique(whole.lengths).size > 3  # later steps run smaller, ragged blocks
-    monkeypatch.setattr(optstop, "ROLLOUT_BLOCK", 7)  # does not divide n
-    _assert_same_episodes(kernel(*args), whole)
+def test_rollouts_featurize_each_distinct_cost_once(monkeypatch, augmented):
+    params = OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)  # criterion 6's instance
+    env = OptStopEnv(params)
+    feats = OptStopPolicyFeatures(params, include_s=augmented, s_range=(0.0, 16.0))
+    theta = np.random.default_rng(12).normal(0.0, 0.5, feats.dim)
+    theta[-1] += 3.0  # lean to wait, so many episodes reach the late steps
+    featurized = []
+    per_action_batch = feats.per_action_batch
+
+    def recording(c, k, s=None):
+        featurized.append((k, np.array(c)))
+        return per_action_batch(c, k, s)
+
+    monkeypatch.setattr(feats, "per_action_batch", recording)
+    n, s0, seed, path = 6000, 1.7, 31, ("dd",)
+    if augmented:
+        batch = rollout_batch_augmented(env, feats, theta, s0, seed, path, n)
+    else:
+        batch = rollout_batch(env, feats, theta, seed, path, n)
+    # one call per decision step, on distinct cost floats; path order moves a
+    # cost's last bits, so a late step holds more floats than its k + 1 nodes
+    assert [k for k, _ in featurized] == list(range(params.T))
+    assert all(np.unique(c).size == c.size for _, c in featurized)
+    assert max(c.size - (k + 1) for k, c in featurized) > 0
+    assert sum(c.size for _, c in featurized) < batch.lengths.sum() // 10
+    monkeypatch.undo()
+    # the longest episodes and a spread of others, bit for bit against the
+    # sequential rollout of each episode's own substream
+    aug = augment(env, 1.3, RiskSpec(0.9, 1.9, 100.0, params.gamma), AugmentedCostMode.STANDARD,
+                  s0=s0)
+    longest = np.argsort(batch.lengths, kind="stable")[-20:]
+    for j in np.concatenate([longest, np.arange(0, n, 300)]):
+        traj = rollout(aug if augmented else env, feats, theta, substream(seed, *path, int(j)),
+                       params.T + 2, params.gamma)
+        if augmented:
+            assert discounted_loss(traj.costs[:-1], params.gamma) == batch.losses[j]
+            assert traj.length - 1 == batch.lengths[j]
+            assert traj.states[-2].s == batch.final_budgets[j]
+        else:
+            assert traj.loss == batch.losses[j]
+            assert traj.length == batch.lengths[j]
+        assert np.array_equal(traj.score, batch.scores[j])
+    assert batch.lengths.max() == params.T + 1
 
 
 @pytest.mark.parametrize("augmented", [False, True])

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from cvarpg.errors import InputError
-from cvarpg.mdp import Trajectory
-from cvarpg.policy import (
-    action_probabilities,
-    grad_log_prob,
-    sample_action,
-    trajectory_score,
-)
+from cvarpg.policy import action_probabilities, action_scores, grad_log_prob, sample_action
 
 
 def test_uniform_at_zero_parameters():
@@ -121,6 +115,11 @@ def test_batch_equals_one_decision_at_a_time():
             assert a == actions[i]
             assert a == min(int(np.searchsorted(np.cumsum(one), u[i], side="right")), n - 1)
             assert np.array_equal(scores[i], grad_log_prob(feats[i], one, a))
+        # every action's score at once, as the drawn action's score
+        every = action_scores(feats, probs)
+        assert every.shape == feats.shape
+        for a in range(n):
+            assert np.array_equal(every[..., a, :], grad_log_prob(feats, probs, np.full((4, 3), a)))
 
 
 def test_grad_log_prob_refuses_actions_outside_support():
@@ -131,32 +130,3 @@ def test_grad_log_prob_refuses_actions_outside_support():
             grad_log_prob(feats, probs, bad)
     with pytest.raises(InputError):
         grad_log_prob(feats[None], probs[None], np.array([2]))
-
-
-class _PairFeatures:
-    def per_action(self, state):
-        return np.array([[1.0, 0.0], [0.0, 1.0]])
-
-
-def test_trajectory_score_sums_steps():
-    theta = np.zeros(2)
-    fmap = _PairFeatures()
-    one = Trajectory(states=["s", None], actions=[0], costs=np.array([1.0]),
-                     loss=1.0, score=np.zeros(2))
-    expected = grad_log_prob(fmap.per_action("s"), np.full(2, 0.5), 0)
-    assert trajectory_score(one, theta, fmap) == pytest.approx(expected)
-    two = Trajectory(states=["s", "s", None], actions=[0, 0],
-                     costs=np.array([1.0, 1.0]), loss=2.0, score=np.zeros(2))
-    assert trajectory_score(two, theta, fmap) == pytest.approx([1.0, -1.0])
-
-
-class _SingleActionFeatures:
-    def per_action(self, state):
-        return np.array([[1.0, 1.0]])
-
-
-def test_trajectory_score_zero_on_forced_steps():
-    theta = np.zeros(2)
-    traj = Trajectory(states=["a", "b", None], actions=[0, 0],
-                      costs=np.array([1.0, 1.0]), loss=2.0, score=np.zeros(2))
-    assert trajectory_score(traj, theta, _SingleActionFeatures()) == pytest.approx([0.0, 0.0])
