@@ -253,7 +253,7 @@ def sample_occupation_transitions(
     """
     theta = np.asarray(theta, dtype=float)
     gamma = aug.risk.gamma
-    zero = np.zeros(critic_features.dim if hasattr(critic_features, "dim") else len(critic_features(None)))
+    zero = np.zeros(critic_features.dim)
 
     def draw(state) -> int:
         if aug.n_actions(state) == 1:

@@ -9,8 +9,6 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,36 +28,11 @@ from .pg import PgResult, SaddleIterate, pg_train
 from .risk import EmpiricalDistribution, cvar, tail_probability, value_at_risk
 from .seeding import substream
 
-THREADS_ENV_VAR = "CVAR_MDP_THREADS"
-
 _AC_VARIANTS = {
     "AC_CVAR_SPSA": AcVariant.SPSA_INCREMENTAL,
     "AC_CVAR_SEMI": AcVariant.SEMI_TRAJECTORY,
     "AC_CVAR_ALT": AcVariant.ALTERNATIVE_TWO_CRITIC,
 }
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
-
-def _sharded(kernel, n: int, threads: int):
-    """Run kernel(j0, count) over contiguous shards; merge in index order."""
-    threads = min(threads, n)
-    if threads <= 1:
-        return [kernel(0, n)]
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    jobs = [(int(lo), int(hi - lo)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(kernel, lo, cnt) for lo, cnt in jobs]
-        return [f.result() for f in futures]
 
 
 @dataclass
@@ -146,7 +119,6 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         lam0 = 0.0 if risk_neutral else 1.0
         n = config.pg_batch_size
 
-        # one thread: a pool per small batch costs more than it saves
         def sampler(theta, round_idx, iter_idx):
             batch = rollout_batch(env, feats, theta, seed, ("pg", round_idx, iter_idx), n)
             return batch.losses, batch.scores
@@ -221,23 +193,17 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
                     episodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Roll the learned policy out; returns (losses, episode lengths)."""
     env = OptStopEnv(config.env_params())
-    threads = thread_count()
     if trained.algorithm in ("PG", "PG_CVAR"):
         feats = policy_feature_map(config, include_s=False)
-        kernel = lambda j0, cnt: rollout_batch(
-            env, feats, trained.theta, seed, ("eval",), cnt, j0, with_scores=False
-        )
+        batch = rollout_batch(env, feats, trained.theta, seed, ("eval",), episodes,
+                              with_scores=False)
     else:
         include_s = trained.algorithm != "AC"
         feats = policy_feature_map(config, include_s=include_s, incremental=True)
         s0 = trained.nu if include_s else 0.0
-        kernel = lambda j0, cnt: rollout_batch_augmented(
-            env, feats, trained.theta, s0, seed, ("eval",), cnt, j0, with_scores=False
-        )
-    parts = _sharded(kernel, episodes, threads)
-    losses = np.concatenate([p.losses for p in parts])
-    lengths = np.concatenate([p.lengths for p in parts])
-    return losses, lengths
+        batch = rollout_batch_augmented(env, feats, trained.theta, s0, seed, ("eval",), episodes,
+                                        with_scores=False)
+    return batch.losses, batch.lengths
 
 
 def build_report(config: ExperimentConfig, trained: TrainedPolicy, losses: np.ndarray,

@@ -142,19 +142,15 @@ class AugmentedEnv:
     cost already includes it.
     """
 
-    def __init__(self, env, lam: float, risk: RiskSpec, mode: AugmentedCostMode):
+    def __init__(self, env, lam: float, risk: RiskSpec, mode: AugmentedCostMode,
+                 s0: float = 0.0):
         if lam < 0.0:
             raise InputError(f"lambda must be >= 0, got {lam}")
         self.env = env
         self.lam = float(lam)
         self.risk = risk
         self.mode = mode
-        self.s0 = 0.0
-
-    def with_budget(self, s0: float) -> "AugmentedEnv":
-        out = AugmentedEnv(self.env, self.lam, self.risk, self.mode)
-        out.s0 = float(s0)
-        return out
+        self.s0 = float(s0)
 
     def initial_state(self) -> AugState:
         return AugState(self.env.initial_state(), self.s0)
@@ -193,7 +189,7 @@ class AugmentedEnv:
 
 def augment(env, lam: float, risk: RiskSpec, mode: AugmentedCostMode, s0: float = 0.0) -> AugmentedEnv:
     """Wrap an environment with budget dynamics starting at s0."""
-    return AugmentedEnv(env, lam, risk, mode).with_budget(s0)
+    return AugmentedEnv(env, lam, risk, mode, s0)
 
 
 def augmented_loss_identity(

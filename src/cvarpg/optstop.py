@@ -250,22 +250,21 @@ def _rollout(
     seed: int,
     path: tuple,
     n: int,
-    j0: int,
     with_scores: bool,
 ) -> BatchRollouts:
     """Lockstep kernel behind both public rollouts; ``s0=None`` is the raw env.
 
-    Episode j0 + j draws its uniforms from ``substream(seed, *path, j0 + j)``:
+    Episode j draws its uniforms from ``substream(seed, *path, j)``:
     position 2k for its step-k action and 2k+1 for the cost move, the order
-    of the sequential rollout, so batched, sharded and per-episode
-    simulation agree bit for bit. Every alive episode has waited at each
-    earlier step, so all share one budget. At each step the policy is
-    featurized, and its softmax and scores computed, once per distinct cost
-    among the alive episodes; each episode then draws its own action.
+    of the sequential rollout, so batched and per-episode simulation agree
+    bit for bit. Every alive episode has waited at each earlier step, so
+    all share one budget. At each step the policy is featurized, and its
+    softmax and scores computed, once per distinct cost among the alive
+    episodes; each episode then draws its own action.
     """
     p = env.params
     theta = np.asarray(theta, dtype=float)
-    u = substream_uniforms(seed, path, j0, n, 2 * p.T)
+    u = substream_uniforms(seed, path, n, 2 * p.T)
     idx = np.arange(n)       # alive episodes
     c = np.full(n, p.c0)     # their costs
     s = s0                   # their shared budget
@@ -310,7 +309,6 @@ def rollout_batch(
     seed: int,
     path: tuple,
     n: int,
-    j0: int = 0,
     with_scores: bool = True,
 ) -> BatchRollouts:
     """Vectorized episodes of the raw environment under one parameter vector.
@@ -318,7 +316,7 @@ def rollout_batch(
     ``with_scores=False`` skips the likelihood-ratio scores, which only
     gradient estimates read; ``scores`` is then an empty (n, 0) array.
     """
-    return _rollout(env, feats, theta, None, seed, path, n, j0, with_scores)
+    return _rollout(env, feats, theta, None, seed, path, n, with_scores)
 
 
 def rollout_batch_augmented(
@@ -329,7 +327,6 @@ def rollout_batch_augmented(
     seed: int,
     path: tuple,
     n: int,
-    j0: int = 0,
     with_scores: bool = True,
 ) -> BatchRollouts:
     """Vectorized episodes of the budget-augmented environment.
@@ -338,7 +335,7 @@ def rollout_batch_augmented(
     penalty is a deterministic function of the final budget, returned
     separately). ``with_scores`` is as in ``rollout_batch``.
     """
-    return _rollout(env, feats, theta, float(s0), seed, path, n, j0, with_scores)
+    return _rollout(env, feats, theta, float(s0), seed, path, n, with_scores)
 
 
 def enumerate_loss_distribution(

@@ -3,7 +3,7 @@
 Every stochastic component draws from a child generator derived from the
 master seed plus a structured path (e.g. ``("pg", round, iteration,
 trajectory)``), so results are reproducible bit-for-bit regardless of
-execution order or sharding.
+execution order.
 
 ``substream_uniforms`` serves batches of episodes, one substream per
 episode index: it returns the leading uniforms of many consecutive
@@ -150,13 +150,10 @@ def _doubles(hi, lo) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _block_uniforms(shared: list[int], indices: np.ndarray, two_words: bool,
-                    out: np.ndarray) -> None:
+def _block_uniforms(shared: list[int], indices: np.ndarray, out: np.ndarray) -> None:
     """Fill out with the leading uniforms of the substreams with entropy shared + [index]."""
     words = [np.array([w], dtype=np.uint32) for w in shared]
-    words.append((indices & np.uint64(_M32)).astype(np.uint32))
-    if two_words:
-        words.append((indices >> np.uint64(32)).astype(np.uint32))
+    words.append(indices)
     s_hi, s_lo, q_hi, q_lo = (w[:, None] for w in _generate_state(words))
     # PCG64 set-seed: inc = 2*seq + 1, then state = (inc + s)*M + inc
     inc = ((q_hi << np.uint64(1)) | (q_lo >> np.uint64(63)), (q_lo << np.uint64(1)) | np.uint64(1))
@@ -172,23 +169,20 @@ def _block_uniforms(shared: list[int], indices: np.ndarray, two_words: bool,
         out[:, col:col + _STRIDE] = _doubles(*state)[:, :m - col]
 
 
-def substream_uniforms(master_seed: int, path: tuple, j0: int, n: int, m: int) -> np.ndarray:
-    """The first m uniforms of substream(master_seed, *path, j) for j = j0..j0+n-1.
+def substream_uniforms(master_seed: int, path: tuple, n: int, m: int) -> np.ndarray:
+    """The first m uniforms of substream(master_seed, *path, j) for j = 0..n-1.
 
     Returns an (n, m) array equal bit for bit to
-    ``np.stack([substream(master_seed, *path, j0 + j).random(m) for j in range(n)])``.
+    ``np.stack([substream(master_seed, *path, j).random(m) for j in range(n)])``.
+    Every index is below 2^32, so it enters the entropy as one word.
     """
-    if j0 < 0 or n < 0 or m < 0 or j0 + n > 1 << 64:
-        raise InputError(f"need 0 <= j0, 0 <= n, 0 <= m and j0 + n <= 2^64, got {j0}, {n}, {m}")
+    if n < 0 or m < 0 or n > 1 << 32:
+        raise InputError(f"need 0 <= n <= 2^32 and 0 <= m, got {n}, {m}")
     shared = [w for part in (master_seed, *path) for w in _words(_token(part))]
     out = np.empty((n, m))
-    if n == 0 or m == 0:
+    if m == 0:
         return out
-    # episode indices below 2^32 enter the entropy as one word, the rest as two
-    split = min(max((1 << 32) - j0, 0), n)
-    for start, stop, two_words in ((0, split, False), (split, n, True)):
-        for a in range(start, stop, _EPISODE_BLOCK):
-            b = min(a + _EPISODE_BLOCK, stop)
-            indices = np.uint64(j0 + a) + np.arange(b - a, dtype=np.uint64)
-            _block_uniforms(shared, indices, two_words, out[a:b])
+    for a in range(0, n, _EPISODE_BLOCK):
+        b = min(a + _EPISODE_BLOCK, n)
+        _block_uniforms(shared, np.arange(a, b, dtype=np.uint32), out[a:b])
     return out

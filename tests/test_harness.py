@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvarpg import harness
 from cvarpg.config import (
     ExperimentConfig,
     config_from_mapping,
@@ -23,8 +24,8 @@ from cvarpg.harness import (
     report_from_text,
     report_to_text,
     run_experiment,
-    thread_count,
 )
+from cvarpg.optstop import OptStopEnv, rollout_batch
 from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
 
 
@@ -138,27 +139,27 @@ def test_reports_are_reproducible(tmp_path, algorithm):
     assert report_to_text(rep1) == report_to_text(rep2)
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("CVAR_MDP_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("CVAR_MDP_THREADS", "bogus")
-    with pytest.raises(InputError):
-        thread_count()
-    monkeypatch.delenv("CVAR_MDP_THREADS")
-    assert thread_count() >= 1
+def test_evaluation_is_one_kernel_call(monkeypatch):
+    # the old thread-count variable is ignored: no shards, no pool
+    monkeypatch.setenv("CVAR_MDP_THREADS", "4")
+    cfg = small_config()
+    feats = harness.policy_feature_map(cfg, include_s=False)
+    theta = np.random.default_rng(6).normal(0.0, 0.5, feats.dim)
+    trained = harness.TrainedPolicy("PG_CVAR", theta, 1.2, 0.3, None, None, True,
+                                    1000.0, 0, [])
+    sizes = []
 
+    def counted(*args, **kwargs):
+        sizes.append(args[5])  # the episode count
+        return rollout_batch(*args, **kwargs)
 
-def test_outputs_independent_of_thread_count(tmp_path, monkeypatch):
-    files = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("CVAR_MDP_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        cfg = small_config()
-        run_experiment(cfg, seed=7, out_dir=str(out))
-        files[threads] = {
-            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix == ".csv"
-        }
-    assert files["1"] == files["4"]
+    monkeypatch.setattr(harness, "rollout_batch", counted)
+    losses, lengths = evaluate_policy(cfg, trained, seed=5, episodes=60)
+    assert sizes == [60]
+    direct = rollout_batch(OptStopEnv(cfg.env_params()), feats, theta, 5, ("eval",), 60,
+                           with_scores=False)
+    assert np.array_equal(losses, direct.losses)
+    assert np.array_equal(lengths, direct.lengths)
 
 
 def test_report_metrics_match_recomputation_from_csv(tmp_path):

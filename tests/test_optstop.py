@@ -115,7 +115,7 @@ def test_enumerate_uniform_matches_monte_carlo():
     dist = enumerate_loss_distribution(feats, theta, params)
     assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
     n = 1_000_000
-    batch = rollout_batch(env, feats, theta, 21, ("mc",), n)
+    batch = rollout_batch(env, feats, theta, 21, ("mc",), n, with_scores=False)
     # bin the simulated losses at the exact enumerated atoms
     order = np.argsort(dist.samples)
     atoms = dist.samples[order]
@@ -266,17 +266,6 @@ def test_batch_matches_sequential_rollouts():
         assert traj.loss == batch.losses[j]
         assert traj.length == batch.lengths[j]
         assert np.array_equal(traj.score, batch.scores[j])
-
-
-def test_batch_sharding_is_seamless():
-    env = OptStopEnv(OptStopParams(T=8))
-    feats = OptStopPolicyFeatures(OptStopParams(T=8))
-    theta = np.full(feats.dim, 0.3)
-    whole = rollout_batch(env, feats, theta, 9, ("sh",), 40)
-    lo = rollout_batch(env, feats, theta, 9, ("sh",), 15, j0=0)
-    hi = rollout_batch(env, feats, theta, 9, ("sh",), 25, j0=15)
-    assert np.array_equal(whole.losses, np.concatenate([lo.losses, hi.losses]))
-    assert np.array_equal(whole.scores, np.concatenate([lo.scores, hi.scores]))
 
 
 def test_augmented_batch_matches_sequential():
