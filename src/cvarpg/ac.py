@@ -13,26 +13,29 @@ Three flavours share one episode loop:
   zeroed interior costs on the augmented one, which makes the multiplier
   update fully incremental.
 
-Updates inside one step all read the pre-step iterates (simultaneous
-update convention).
+Every episode steps ``mdp.AugmentedEnv``: STANDARD cost mode for the
+first two, ZEROED for the two-critic variant. The loop holds no budget
+dynamics or terminal penalty of its own. Updates inside one step all
+read the pre-step iterates (simultaneous update convention).
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .mdp import AugState
+from .mdp import AugmentedCostMode, AugmentedEnv
 from .policy import action_probabilities, grad_log_prob, sample_action
 from .risk import RiskSpec
-from .schedules import Box, CapController, Decision, PerturbationSchedule, StepSchedule
+from .schedules import (
+    Box, CapController, Decision, PerturbationSchedule, StepSchedule, TrainResult,
+)
 
 __all__ = [
     "AcVariant",
     "AcIterate",
-    "AcResult",
     "spsa_nu_gradient",
     "spsa_nu_update",
     "ac_theta_update",
@@ -152,26 +155,6 @@ def semi_trajectory_updates(
     return new_nu, new_lam
 
 
-def _terminal_value(s: float, lam: float, risk: RiskSpec, alternative: bool) -> float:
-    """Value of the terminal augmented state: its one-shot budget penalty.
-
-    The terminal state moves to the cost-free sink, so its value is known
-    in closed form; bootstrapping from it instead of from the critic's
-    estimate keeps the penalty exact in the TD targets of the last
-    interior step, however far the multiplier has moved.
-    """
-    return (1.0 if alternative else lam) * max(-s, 0.0) / (1.0 - risk.alpha)
-
-
-@dataclass
-class AcResult:
-    iterate: AcIterate
-    converged: bool
-    lambda_max: float
-    doublings: int
-    history: list = field(default_factory=list)
-
-
 def ac_train(
     env,
     policy_features,
@@ -194,7 +177,7 @@ def ac_train(
     lambda_margin: float = 0.01,
     semi_nu_schedule: StepSchedule | None = None,
     critic_warmup_episodes: int = 0,
-) -> AcResult:
+) -> TrainResult:
     """Episode loop shared by all variants.
 
     ``stack`` is ordered slow to fast: (zeta1 lambda, zeta2 theta,
@@ -216,6 +199,7 @@ def ac_train(
     zeta1, zeta2, zeta3, zeta4 = stack
     semi_nu = semi_nu_schedule if semi_nu_schedule is not None else zeta2
     alternative = variant is AcVariant.ALTERNATIVE_TWO_CRITIC
+    mode = AugmentedCostMode.ZEROED if alternative else AugmentedCostMode.STANDARD
     if alternative and original_critic_features is None:
         raise InputError("alternative variant needs the raw-process critic features")
     per_episode = variant is AcVariant.SEMI_TRAJECTORY
@@ -243,7 +227,12 @@ def ac_train(
         nonlocal theta, nu, lam, v, u, k_global
         # the incremental variants move nu and lambda at every step
         step_multipliers = learn and not per_episode and not risk_neutral
-        state = AugState(env.initial_state(), 0.0 if risk_neutral else nu)
+        # one env at the episode's lambda is exact: STANDARD mode reads lambda
+        # only in the terminal penalty, and lambda moves only after the
+        # terminal step's cost is read (SPSA) or between episodes (SEMI);
+        # ZEROED mode does not read lambda
+        aug = AugmentedEnv(env, lam, risk, mode, 0.0 if risk_neutral else nu)
+        state = aug.initial_state()
         d_loss = 0.0
         disc = 1.0
         interior_steps = 0
@@ -251,34 +240,25 @@ def ac_train(
         # only the first and the terminal state build their own
         phi = f = None
         while True:
-            at_terminal = state.at_terminal
             glp = None
-            if at_terminal:
-                cost_bar = _terminal_value(state.s, lam, risk, alternative)
-                env_cost = 0.0
-                next_state = None
-            else:
-                if env.n_actions(state.env_state) > 1:
-                    feats = policy_features.per_action(state)
-                    probs = action_probabilities(theta, feats)
-                    action = sample_action(probs, rng.random())
-                    if learn:
-                        glp = grad_log_prob(feats, probs, action)
-                else:
-                    action = 0
-                x_next, env_cost, env_done = env.step(state.env_state, action, rng)
-                s_next = (state.s - env_cost) / gamma
-                next_state = AugState(
-                    None if env_done else x_next, s_next, at_terminal=env_done
-                )
-                cost_bar = 0.0 if alternative else env_cost
+            action = 0
+            if aug.n_actions(state) > 1:
+                feats = policy_features.per_action(state)
+                probs = action_probabilities(theta, feats)
+                action = sample_action(probs, rng.random())
+                if learn:
+                    glp = grad_log_prob(feats, probs, action)
+            next_state, cost_bar, env_cost, done = aug.step_full(state, action, rng)
 
             phi = critic_features(state) if phi is None else phi
             phi_next = None
-            if next_state is None:
+            if done:
                 v_phi_next = 0.0
             elif next_state.at_terminal:
-                v_phi_next = _terminal_value(next_state.s, lam, risk, alternative)
+                # the terminal state's value is its one-shot penalty in closed
+                # form; bootstrapping from it, not from the critic, keeps the
+                # penalty exact in the last interior TD target
+                v_phi_next = aug.terminal_cost(next_state.s)
             else:
                 phi_next = critic_features(next_state)
                 v_phi_next = float(v @ phi_next)
@@ -286,7 +266,7 @@ def ac_train(
             delta = cost_bar + gamma * v_phi_next - v_phi_here
 
             eps, f_next = 0.0, None
-            if alternative and not at_terminal:
+            if alternative and not done:
                 f = original_critic_features(state.env_state) if f is None else f
                 f_next = (np.zeros_like(f) if next_state.at_terminal
                           else original_critic_features(next_state.env_state))
@@ -297,7 +277,7 @@ def ac_train(
             # variant; indexing them by episode would give each step of
             # the first episode the full schedule coefficient
             v_new = v + zeta4(k_global) * delta * phi
-            if alternative and not at_terminal:
+            if alternative and not done:
                 u = u + zeta4(k_global) * eps * f
 
             if step_multipliers:
@@ -324,20 +304,19 @@ def ac_train(
                 theta = ac_theta_update(theta, glp, signal, zeta2(k_global), gamma, theta_box)
 
             if step_multipliers:
-                lam_box = Box(0.0, controller.lambda_max)
                 if alternative:
                     lam = ac_lambda_update_alternative(
-                        lam_old, nu_old, risk, v_phi_here, zeta1(k_global), lam_box
+                        lam_old, nu_old, risk, v_phi_here, zeta1(k_global), controller.lam_box
                     )
                 else:
                     lam = ac_lambda_update_incremental(
-                        lam_old, nu_old, risk, disc, state.s, at_terminal,
-                        zeta1(k_global), lam_box,
+                        lam_old, nu_old, risk, disc, state.s, done,
+                        zeta1(k_global), controller.lam_box,
                     )
 
             v = v_new
             k_global += 1
-            if at_terminal:
+            if done:
                 return d_loss, interior_steps, state.s
             d_loss += disc * env_cost
             disc *= gamma
@@ -359,8 +338,7 @@ def ac_train(
         if per_episode and not risk_neutral:
             nu, lam = semi_trajectory_updates(
                 nu, lam, s_terminal, interior_steps, risk,
-                semi_nu(episode_idx), zeta1(episode_idx), nu_box,
-                Box(0.0, controller.lambda_max),
+                semi_nu(episode_idx), zeta1(episode_idx), nu_box, controller.lam_box,
             )
         history.append({
             "iter": len(history) + 1,
@@ -380,4 +358,4 @@ def ac_train(
             k_global = 1
 
     iterate = AcIterate(theta, nu, lam, v, u)
-    return AcResult(iterate, converged, controller.lambda_max, controller.doublings, history)
+    return TrainResult(iterate, converged, controller.lambda_max, controller.doublings, history)

@@ -1,7 +1,8 @@
 """Linear value-function machinery on the augmented process.
 
-Incremental TD(0) drives the training path. For verification there is an
-exact route: enumerate the reachable augmented states of a finite
+The TD(0) step that training runs lives in the actor-critic loop
+(``ac.ac_train``); ``td_error`` and ``td_update`` here serve the
+convergence checks. For verification there is an exact route: enumerate the reachable augmented states of a finite
 environment under a fixed policy, solve the induced chain by value
 iteration, and solve the projected fixed-point system A v = b built from
 the exact discount-weighted occupation measure. A sampling route that

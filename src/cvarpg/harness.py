@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .ac import AcIterate, AcResult, AcVariant, ac_train
+from .ac import AcIterate, AcVariant, ac_train
 from .config import ExperimentConfig
 from .errors import InputError
 from .optstop import (
@@ -24,7 +25,7 @@ from .optstop import (
     rollout_batch,
     rollout_batch_augmented,
 )
-from .pg import PgResult, SaddleIterate, pg_train
+from .pg import SaddleIterate, pg_train
 from .risk import EmpiricalDistribution, cvar, tail_probability, value_at_risk
 from .seeding import substream
 
@@ -124,7 +125,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             return batch.losses, batch.scores
 
         stack = config.pg_stack()
-        result: PgResult = pg_train(
+        result = pg_train(
             sampler,
             SaddleIterate(theta0, nu0, lam0),
             risk,
@@ -138,12 +139,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             lambda_margin=config.train_lambda_margin,
             risk_neutral=risk_neutral,
         )
-        it = result.iterate
-        return TrainedPolicy(algorithm, it.theta, it.nu, it.lam, None, None,
-                             result.converged, result.lambda_max, result.doublings,
-                             result.history)
-
-    if algorithm == "AC" or algorithm in _AC_VARIANTS:
+    elif algorithm == "AC" or algorithm in _AC_VARIANTS:
         risk_neutral = algorithm == "AC"
         include_s = not risk_neutral
         feats = policy_feature_map(config, include_s=include_s, incremental=True)
@@ -156,7 +152,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         orig_cfeats = None
         if variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
             orig_cfeats = critic_feature_map(config, include_s=False)
-        result: AcResult = ac_train(
+        result = ac_train(
             env,
             feats,
             cfeats,
@@ -181,12 +177,13 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             ),
             critic_warmup_episodes=config.ac_critic_warmup_episodes,
         )
-        it = result.iterate
-        return TrainedPolicy(algorithm, it.theta, it.nu, it.lam, it.v, it.u,
-                             result.converged, result.lambda_max, result.doublings,
-                             result.history)
+    else:
+        raise InputError(f"unknown algorithm {algorithm!r}")
 
-    raise InputError(f"unknown algorithm {algorithm!r}")
+    it = result.iterate
+    v, u = (it.v, it.u) if isinstance(it, AcIterate) else (None, None)
+    return TrainedPolicy(algorithm, it.theta, it.nu, it.lam, v, u, result.converged,
+                         result.lambda_max, result.doublings, result.history)
 
 
 def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
@@ -294,21 +291,20 @@ def write_histogram_csv(path: Path, edges: np.ndarray, counts: np.ndarray) -> No
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_REPORT_KEYS = (
-    "algorithm", "seed", "env_fingerprint", "alpha", "beta", "episodes",
-    "mean", "variance", "cvar_alpha", "tail_prob_beta", "converged",
-    "nu", "lam", "theta_norm", "lambda_max_final", "doublings",
-)
+# report.txt holds the scalar fields of EvaluationReport, one per line in
+# declaration order, each parsed back by its declared type
+_PARSERS = {str: str, int: int, float: float, bool: lambda text: text == "true"}
+_REPORT_FIELDS = {
+    name: _PARSERS[hint]
+    for name, hint in get_type_hints(EvaluationReport).items() if hint in _PARSERS
+}
 
 
 def report_to_text(report: EvaluationReport) -> str:
     lines = []
-    for key in _REPORT_KEYS:
+    for key in _REPORT_FIELDS:
         value = getattr(report, key)
-        if isinstance(value, str):
-            lines.append(f"{key} = {value}")
-        else:
-            lines.append(f"{key} = {_fmt(value)}")
+        lines.append(f"{key} = {value if isinstance(value, str) else _fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,17 +316,7 @@ def report_from_text(text: str) -> EvaluationReport:
             continue
         key, _, value = line.partition(" = ")
         raw[key] = value
-    def fget(k):
-        return float(raw[k])
-    return EvaluationReport(
-        algorithm=raw["algorithm"], seed=int(raw["seed"]),
-        env_fingerprint=raw["env_fingerprint"],
-        alpha=fget("alpha"), beta=fget("beta"), episodes=int(raw["episodes"]),
-        mean=fget("mean"), variance=fget("variance"), cvar_alpha=fget("cvar_alpha"),
-        tail_prob_beta=fget("tail_prob_beta"), converged=raw["converged"] == "true",
-        nu=fget("nu"), lam=fget("lam"), theta_norm=fget("theta_norm"),
-        lambda_max_final=fget("lambda_max_final"), doublings=int(raw["doublings"]),
-    )
+    return EvaluationReport(**{key: parse(raw[key]) for key, parse in _REPORT_FIELDS.items()})
 
 
 def write_artifacts(out_dir: Path, config: ExperimentConfig, trained: TrainedPolicy,

@@ -14,12 +14,15 @@ done)]`` which enables exact trajectory enumeration.
 The augmented wrapper appends a running budget coordinate s with the
 deterministic dynamics s' = (s - cost)/gamma and charges a terminal
 penalty proportional to the positive part of the overrun, which converts
-a quantile-excess objective into a plain expected discounted cost.
+a quantile-excess objective into a plain expected discounted cost. It is
+the one implementation of these dynamics: the actor-critic learner steps
+it, and the exact chain and occupation-measure checks enumerate it.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,6 @@ __all__ = [
     "AugmentedCostMode",
     "AugState",
     "AugmentedEnv",
-    "augment",
     "augmented_loss_identity",
     "FiniteMDP",
     "enumerate_trajectories",
@@ -126,8 +128,7 @@ class AugState:
     at_terminal: bool = False
 
 
-@dataclass(frozen=True)
-class AugStep:
+class AugStep(NamedTuple):
     next_state: object
     cost: float       # cost under the wrapper's mode
     env_cost: float   # raw cost of the underlying environment
@@ -185,11 +186,6 @@ class AugmentedEnv:
             new_state = AugState(None if done else nxt, s_next, at_terminal=done)
             out.append((prob, new_state, out_cost, False))
         return out
-
-
-def augment(env, lam: float, risk: RiskSpec, mode: AugmentedCostMode, s0: float = 0.0) -> AugmentedEnv:
-    """Wrap an environment with budget dynamics starting at s0."""
-    return AugmentedEnv(env, lam, risk, mode, s0)
 
 
 def augmented_loss_identity(

@@ -9,16 +9,16 @@ cap, the cap doubles and the schedule restarts with parameters retained.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .risk import RiskSpec
-from .schedules import Box, CapController, Decision, StepSchedule
+from .schedules import Box, CapController, Decision, StepSchedule, TrainResult
 
 __all__ = ["SaddleIterate", "GradientEstimate", "estimate_batch_gradients",
-           "pg_iteration", "PgResult", "pg_train"]
+           "pg_iteration", "pg_train"]
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,6 @@ def pg_iteration(
     return SaddleIterate(theta, nu, lam, iterate.iteration + 1)
 
 
-@dataclass
-class PgResult:
-    iterate: SaddleIterate
-    converged: bool
-    lambda_max: float
-    doublings: int
-    history: list = field(default_factory=list)
-
-
 def pg_train(
     sampler,
     iterate0: SaddleIterate,
@@ -119,7 +110,7 @@ def pg_train(
     rel_tol: float = 1e-4,
     lambda_margin: float = 0.01,
     risk_neutral: bool = False,
-) -> PgResult:
+) -> TrainResult:
     """Run batched saddle-point iterations until accepted or out of budget.
 
     ``sampler(theta, round_idx, iter_idx)`` returns (losses, scores) for a
@@ -135,9 +126,8 @@ def pg_train(
         i += 1
         losses, scores = sampler(iterate.theta, controller.doublings, i)
         grads = estimate_batch_gradients(losses, scores, iterate.nu, iterate.lam, risk)
-        lam_box = Box(0.0, controller.lambda_max)
         iterate = pg_iteration(
-            iterate, grads, i, schedules, (lam_box, theta_box, nu_box), risk_neutral
+            iterate, grads, i, schedules, (controller.lam_box, theta_box, nu_box), risk_neutral
         )
         history.append({
             "iter": len(history) + 1,
@@ -155,4 +145,4 @@ def pg_train(
             break
         if decision is Decision.DOUBLE:
             i = 0
-    return PgResult(iterate, converged, controller.lambda_max, controller.doublings, history)
+    return TrainResult(iterate, converged, controller.lambda_max, controller.doublings, history)

@@ -158,18 +158,19 @@ class CapController:
     """The multiplier-cap policy of one training run, fed one iterate at a time.
 
     Both learners descend in (theta, nu) and ascend in lambda, projected
-    into [0, lambda_max]. After each update the learner passes its iterate
-    to ``observe``, which keeps the histories of the current round, tests
-    whether the parameters have settled over the trailing window and asks
-    ``lambda_max_controller`` for a decision. On DOUBLE it doubles
-    ``lambda_max`` and starts a fresh round, and the learner restarts its
-    schedule index. A risk-neutral run keeps lambda at zero, so it never
-    doubles and is accepted as soon as its parameters settle.
+    by ``lam_box`` into [0, lambda_max]. After each update the learner
+    passes its iterate to ``observe``, which keeps the histories of the
+    current round, tests whether the parameters have settled over the
+    trailing window and asks ``lambda_max_controller`` for a decision. On
+    DOUBLE it rebuilds ``lam_box`` with twice the cap and starts a fresh
+    round, and the learner restarts its schedule index. A risk-neutral run
+    keeps lambda at zero, so it never doubles and is accepted as soon as
+    its parameters settle.
     """
 
     def __init__(self, lambda_max: float, window: int = 50, rel_tol: float = 1e-4,
                  margin: float = 0.01, risk_neutral: bool = False):
-        self.lambda_max = lambda_max
+        self.lam_box = Box(0.0, lambda_max)
         self.window = window
         self.rel_tol = rel_tol
         self.margin = margin
@@ -177,6 +178,10 @@ class CapController:
         self.doublings = 0
         self._lam_history: list[float] = []
         self._param_history: list[np.ndarray] = []
+
+    @property
+    def lambda_max(self) -> float:
+        return self.lam_box.hi
 
     def observe(self, theta: np.ndarray, nu: float, lam: float) -> Decision:
         self._lam_history.append(lam)
@@ -191,8 +196,23 @@ class CapController:
             self._lam_history, self.lambda_max, self.margin, self.window, self.rel_tol, settled
         )
         if decision is Decision.DOUBLE:
-            self.lambda_max *= 2.0
+            self.lam_box = Box(0.0, 2.0 * self.lambda_max)
             self.doublings += 1
             self._lam_history.clear()
             self._param_history.clear()
         return decision
+
+
+@dataclass
+class TrainResult:
+    """Outcome of one training run of either learner.
+
+    ``iterate`` is the learner's final iterate; ``lambda_max`` and
+    ``doublings`` are the cap controller's at the end of the run.
+    """
+
+    iterate: object
+    converged: bool
+    lambda_max: float
+    doublings: int
+    history: list

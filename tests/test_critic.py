@@ -15,7 +15,7 @@ from cvarpg.critic import (
     value_iteration,
 )
 from cvarpg.errors import InputError, SolverError
-from cvarpg.mdp import AugmentedCostMode, AugState, augment, enumerate_trajectories
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState, enumerate_trajectories
 from cvarpg.risk import RiskSpec
 from cvarpg.schedules import StepSchedule
 from cvarpg.seeding import substream
@@ -112,7 +112,7 @@ def _diamond_chain(lam=1.5, alpha=0.75, nu=2.0, theta_seed=0):
     rng = np.random.default_rng(theta_seed)
     theta = rng.normal(0.0, 0.7, fmap.dim)
     risk = RiskSpec(alpha, 1.0, 100.0, GAMMA)
-    aug = augment(env, lam, risk, AugmentedCostMode.STANDARD, s0=nu)
+    aug = AugmentedEnv(env, lam, risk, AugmentedCostMode.STANDARD, s0=nu)
     chain = build_chain(aug, fmap, theta, [nu])
     return env, fmap, theta, risk, aug, chain, lam, alpha, nu
 

@@ -4,9 +4,9 @@ import pytest
 from cvarpg.errors import InputError, SimulationError
 from cvarpg.mdp import (
     AugmentedCostMode,
+    AugmentedEnv,
     AugState,
     FiniteMDP,
-    augment,
     augmented_loss_identity,
     discounted_loss,
     enumerate_trajectories,
@@ -84,7 +84,7 @@ def test_rollout_horizon_cap_and_bad_cost():
 
 def test_budget_dynamics_exact():
     risk = RiskSpec(0.5, 1.0, 10.0, 0.95)
-    aug = augment(FixedCostChain([1.0, 0.5]), 1.0, risk, AugmentedCostMode.STANDARD, s0=1.0)
+    aug = AugmentedEnv(FixedCostChain([1.0, 0.5]), 1.0, risk, AugmentedCostMode.STANDARD, s0=1.0)
     state = aug.initial_state()
     st = aug.step_full(state, 0, substream(0, "t"))
     assert st.next_state.s == pytest.approx(0.0, abs=0.0)
@@ -94,7 +94,7 @@ def test_budget_dynamics_exact():
 
 def test_terminal_penalty_standard_mode():
     risk = RiskSpec(0.5, 1.0, 10.0, 0.95)
-    aug = augment(FixedCostChain([2.0]), 2.0, risk, AugmentedCostMode.STANDARD, s0=1.0)
+    aug = AugmentedEnv(FixedCostChain([2.0]), 2.0, risk, AugmentedCostMode.STANDARD, s0=1.0)
     terminal = AugState(None, -1.0, at_terminal=True)
     st = aug.step_full(terminal, 0, substream(0, "t"))
     assert st.cost == pytest.approx(4.0)  # 2 * 1 / 0.5
@@ -104,7 +104,7 @@ def test_terminal_penalty_standard_mode():
 def test_loss_identity_hand_case():
     # one step of cost 2, s0 = 1, gamma = 0.95, lambda = 1, alpha = 0.5
     risk = RiskSpec(0.5, 1.0, 10.0, 0.95)
-    aug = augment(FixedCostChain([2.0]), 1.0, risk, AugmentedCostMode.STANDARD, s0=1.0)
+    aug = AugmentedEnv(FixedCostChain([2.0]), 1.0, risk, AugmentedCostMode.STANDARD, s0=1.0)
     traj = rollout(aug, NoFeatures(), np.zeros(1), substream(0, "t"), 10, 0.95)
     lhs, rhs = augmented_loss_identity(traj, 1.0, 1.0, 0.5, 0.95)
     assert lhs == pytest.approx(4.0, abs=1e-12)
@@ -113,7 +113,7 @@ def test_loss_identity_hand_case():
 
 def test_loss_identity_slack_budget():
     risk = RiskSpec(0.5, 1.0, 10.0, 0.9)
-    aug = augment(FixedCostChain([1.0]), 3.0, risk, AugmentedCostMode.STANDARD, s0=5.0)
+    aug = AugmentedEnv(FixedCostChain([1.0]), 3.0, risk, AugmentedCostMode.STANDARD, s0=5.0)
     traj = rollout(aug, NoFeatures(), np.zeros(1), substream(0, "t"), 10, 0.9)
     lhs, rhs = augmented_loss_identity(traj, 5.0, 3.0, 0.5, 0.9)
     assert rhs == pytest.approx(1.0)  # positive part vanishes, rhs = D
@@ -122,7 +122,7 @@ def test_loss_identity_slack_budget():
 
 def test_loss_identity_zero_costs():
     risk = RiskSpec(0.5, 1.0, 10.0, 0.9)
-    aug = augment(FixedCostChain([0.0, 0.0]), 2.0, risk, AugmentedCostMode.STANDARD, s0=0.0)
+    aug = AugmentedEnv(FixedCostChain([0.0, 0.0]), 2.0, risk, AugmentedCostMode.STANDARD, s0=0.0)
     traj = rollout(aug, NoFeatures(), np.zeros(1), substream(0, "t"), 10, 0.9)
     lhs, rhs = augmented_loss_identity(traj, 0.0, 2.0, 0.5, 0.9)
     assert lhs == 0.0 and rhs == 0.0
@@ -141,7 +141,7 @@ def test_loss_identity_randomized():
         lam = float(rng.uniform(0.0, 3.0))
         s0 = float(rng.uniform(-2.0, 5.0))
         risk = RiskSpec(alpha, 1.0, 10.0, gamma)
-        aug = augment(env, lam, risk, AugmentedCostMode.STANDARD, s0=s0)
+        aug = AugmentedEnv(env, lam, risk, AugmentedCostMode.STANDARD, s0=s0)
         fmap = TabularPolicyFeatures(6, 2)
         theta = rng.normal(0, 1, fmap.dim)
         traj = rollout(aug, fmap, theta, substream(trial, "id"), 500, gamma)
@@ -157,7 +157,7 @@ def test_zeroed_mode_isolates_excess():
         alpha = float(rng.uniform(0.05, 0.95))
         s0 = float(rng.uniform(-2.0, 5.0))
         risk = RiskSpec(alpha, 1.0, 10.0, gamma)
-        aug = augment(env, 1.7, risk, AugmentedCostMode.ZEROED, s0=s0)
+        aug = AugmentedEnv(env, 1.7, risk, AugmentedCostMode.ZEROED, s0=s0)
         fmap = TabularPolicyFeatures(6, 2)
         theta = rng.normal(0, 1, fmap.dim)
         rng_roll = substream(trial, "z")
@@ -180,7 +180,7 @@ def test_budget_replay_bit_exact():
     env = _random_mdp(rng)
     gamma = 0.7
     risk = RiskSpec(0.5, 1.0, 10.0, gamma)
-    aug = augment(env, 1.0, risk, AugmentedCostMode.STANDARD, s0=2.0)
+    aug = AugmentedEnv(env, 1.0, risk, AugmentedCostMode.STANDARD, s0=2.0)
     fmap = TabularPolicyFeatures(6, 2)
     theta = rng.normal(0, 1, fmap.dim)
     traj = rollout(aug, fmap, theta, substream(0, "r"), 500, gamma)

@@ -4,7 +4,7 @@ import pytest
 from cvarpg.errors import InputError
 from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import (
-    AugmentedCostMode, AugState, augment, discounted_loss, enumerate_trajectories, rollout,
+    AugmentedCostMode, AugmentedEnv, AugState, discounted_loss, enumerate_trajectories, rollout,
 )
 from cvarpg.optstop import (
     ACCEPT,
@@ -278,7 +278,7 @@ def test_augmented_batch_matches_sequential():
     s0 = 1.7
     n = 48
     batch = rollout_batch_augmented(env, feats, theta, s0, 23, ("aq",), n)
-    aug = augment(env, 1.3, risk, AugmentedCostMode.STANDARD, s0=s0)
+    aug = AugmentedEnv(env, 1.3, risk, AugmentedCostMode.STANDARD, s0=s0)
     for j in range(n):
         traj = rollout(aug, feats, theta, substream(23, "aq", j), 20, params.gamma)
         d = discounted_loss(traj.costs[:-1], params.gamma)
@@ -337,8 +337,8 @@ def test_rollouts_featurize_each_distinct_cost_once(monkeypatch, augmented):
     monkeypatch.undo()
     # the longest episodes and a spread of others, bit for bit against the
     # sequential rollout of each episode's own substream
-    aug = augment(env, 1.3, RiskSpec(0.9, 1.9, 100.0, params.gamma), AugmentedCostMode.STANDARD,
-                  s0=s0)
+    aug = AugmentedEnv(env, 1.3, RiskSpec(0.9, 1.9, 100.0, params.gamma),
+                       AugmentedCostMode.STANDARD, s0=s0)
     longest = np.argsort(batch.lengths, kind="stable")[-20:]
     for j in np.concatenate([longest, np.arange(0, n, 300)]):
         traj = rollout(aug if augmented else env, feats, theta, substream(seed, *path, int(j)),
