@@ -308,9 +308,10 @@ def ac_train(
                     lam = ac_lambda_update_alternative(
                         lam_old, nu_old, risk, v_phi_here, zeta1(k_global), controller.lam_box
                     )
-                else:
+                elif done:
+                    # the incremental step fires only at the terminal state
                     lam = ac_lambda_update_incremental(
-                        lam_old, nu_old, risk, disc, state.s, done,
+                        lam_old, nu_old, risk, disc, state.s, True,
                         zeta1(k_global), controller.lam_box,
                     )
 

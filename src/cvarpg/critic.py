@@ -240,17 +240,16 @@ def sample_occupation_transitions(
     feature_map,
     critic_features,
     theta: np.ndarray,
-    s0: float,
     rng,
     n: int,
     horizon_cap: int = 10_000,
 ):
     """Draw transitions whose state marginal is the occupation measure.
 
-    Each sample restarts an episode, walks K ~ Geometric(1-gamma) steps
-    (K = 0, 1, 2, ... with mass (1-gamma) gamma^k), and records the
-    transition taken at step K. Samples that land past absorption report
-    a zero-feature sink self-loop.
+    Each sample restarts an episode at ``aug.initial_state()``, walks
+    K ~ Geometric(1-gamma) steps (K = 0, 1, 2, ... with mass
+    (1-gamma) gamma^k), and records the transition taken at step K.
+    Samples that land past absorption report a zero-feature sink self-loop.
     """
     theta = np.asarray(theta, dtype=float)
     gamma = aug.risk.gamma
@@ -264,7 +263,7 @@ def sample_occupation_transitions(
     out = []
     for _ in range(n):
         k_stop = int(rng.geometric(1.0 - gamma)) - 1
-        state = AugState(aug.env.initial_state(), float(s0))
+        state = aug.initial_state()
         done = False
         for _step in range(min(k_stop, horizon_cap)):
             if done:

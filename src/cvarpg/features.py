@@ -7,11 +7,16 @@ over them yields independent per-action logits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
+
+
+def clamp(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float, bit for bit (signed zeros included), without its call overhead."""
+    return min(max(x, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -21,22 +26,28 @@ class AxisScale:
     lo: float
     hi: float
     log: bool = False
+    # the axis's origin and length on its own scale, fixed at construction
+    _origin: float = field(init=False, repr=False, compare=False)
+    _length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise InputError(f"axis range is empty: [{self.lo}, {self.hi}]")
         if self.log and self.lo <= 0.0:
             raise InputError("log axis requires positive lower bound")
+        origin = np.log(self.lo) if self.log else self.lo
+        end = np.log(self.hi) if self.log else self.hi
+        object.__setattr__(self, "_origin", origin)
+        object.__setattr__(self, "_length", end - origin)
 
     def unit(self, x):
+        """Position of x on the axis, clamped to [0, 1]; a float maps to a float."""
+        if isinstance(x, float):
+            z = np.log(max(x, self.lo)) if self.log else x
+            return clamp((z - self._origin) / self._length, 0.0, 1.0)
         x = np.asarray(x, dtype=float)
-        if self.log:
-            z = (np.log(np.maximum(x, self.lo)) - np.log(self.lo)) / (
-                np.log(self.hi) - np.log(self.lo)
-            )
-        else:
-            z = (x - self.lo) / (self.hi - self.lo)
-        return np.clip(z, 0.0, 1.0)
+        z = np.log(np.maximum(x, self.lo)) if self.log else x
+        return np.clip((z - self._origin) / self._length, 0.0, 1.0)
 
 
 class RbfGrid:
@@ -56,32 +67,32 @@ class RbfGrid:
         self.centers = np.stack([m.ravel() for m in mesh], axis=1)  # (n_centers, dims)
         spacing = 1.0 / (centers_per_dim - 1) if centers_per_dim > 1 else 1.0
         self.width = width_scale * spacing
+        # -d2 / (2 w^2) equals d2 / (-2 w^2) bit for bit: negation is exact
+        self._neg_two_w2 = -(2.0 * self.width**2)
         self.dims = dims
         self.n_features = self.centers.shape[0] + 1
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
+    def __call__(self, z) -> np.ndarray:
+        """Featurize one row z of dims coordinates (an array or a list) -> (n_features,)."""
         return self.batch(np.asarray(z, dtype=float)[None, :])[0]
 
     def batch(self, Z: np.ndarray) -> np.ndarray:
         """Featurize rows of Z, shape (n, dims) -> (n, n_features)."""
         Z = np.asarray(Z, dtype=float)
-        d2 = ((Z[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-        bumps = np.exp(-d2 / (2.0 * self.width**2))
+        d2 = ((Z[:, None, :] - self.centers) ** 2).sum(axis=2)
         out = np.empty((Z.shape[0], self.n_features))
-        out[:, :-1] = bumps
+        out[:, :-1] = np.exp(d2 / self._neg_two_w2)
         out[:, -1] = 1.0
         return out
 
 
 def action_blocks(state_features: np.ndarray, n_actions: int) -> np.ndarray:
-    """Per-action rows, action a's state vector in block a: (f,) -> (n_actions, n_actions*f)."""
-    return action_blocks_batch(state_features[None, :], n_actions)[0]
+    """Per-action rows, action a's state vector in block a.
 
-
-def action_blocks_batch(state_features: np.ndarray, n_actions: int) -> np.ndarray:
-    """Batched variant: (n, f) -> (n, n_actions, n_actions*f)."""
-    n, f = state_features.shape
-    out = np.zeros((n, n_actions, n_actions * f))
+    (..., f) -> (..., n_actions, n_actions*f), for one state or a batch.
+    """
+    f = state_features.shape[-1]
+    out = np.zeros(state_features.shape[:-1] + (n_actions, n_actions * f))
     for a in range(n_actions):
-        out[:, a, a * f:(a + 1) * f] = state_features
+        out[..., a, a * f:(a + 1) * f] = state_features
     return out

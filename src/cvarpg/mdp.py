@@ -163,14 +163,17 @@ class AugmentedEnv:
         scale = self.lam if self.mode is AugmentedCostMode.STANDARD else 1.0
         return scale * max(-s, 0.0) / (1.0 - self.risk.alpha)
 
+    def _successor(self, state: AugState, nxt, cost: float, done: bool) -> tuple[AugState, float]:
+        """The augmented state after a base transition from ``state``, and the mode's cost."""
+        s_next = (state.s - cost) / self.risk.gamma
+        out_cost = cost if self.mode is AugmentedCostMode.STANDARD else 0.0
+        return AugState(None if done else nxt, s_next, done), out_cost
+
     def step_full(self, state: AugState, action: int, rng) -> AugStep:
         if state.at_terminal:
             return AugStep(None, self.terminal_cost(state.s), 0.0, True)
         nxt, cost, done = self.env.step(state.env_state, action, rng)
-        s_next = (state.s - cost) / self.risk.gamma
-        out_cost = cost if self.mode is AugmentedCostMode.STANDARD else 0.0
-        new_state = AugState(None if done else nxt, s_next, at_terminal=done)
-        return AugStep(new_state, out_cost, cost, False)
+        return AugStep(*self._successor(state, nxt, cost, done), cost, False)
 
     def step(self, state: AugState, action: int, rng):
         st = self.step_full(state, action, rng)
@@ -179,13 +182,10 @@ class AugmentedEnv:
     def branches(self, state: AugState, action: int):
         if state.at_terminal:
             return [(1.0, None, self.terminal_cost(state.s), True)]
-        out = []
-        for prob, nxt, cost, done in self.env.branches(state.env_state, action):
-            s_next = (state.s - cost) / self.risk.gamma
-            out_cost = cost if self.mode is AugmentedCostMode.STANDARD else 0.0
-            new_state = AugState(None if done else nxt, s_next, at_terminal=done)
-            out.append((prob, new_state, out_cost, False))
-        return out
+        return [
+            (prob, *self._successor(state, nxt, cost, done), False)
+            for prob, nxt, cost, done in self.env.branches(state.env_state, action)
+        ]
 
 
 def augmented_loss_identity(

@@ -5,14 +5,21 @@ hitting the horizon k = T, ends the episode at cost c; waiting costs the
 holding fee p_h and moves the cost to f_u*c with probability p, else
 f_d*c. All per-step costs are discounted by gamma^k in the episode loss.
 
-Besides the step API this module provides batched lockstep rollouts (the
-hot path for training and evaluation) and the exact loss distribution of
-a fixed policy at any horizon, from the recombining cost lattice of
-``lattice.StoppingLattice``. A batched rollout draws all of its episodes'
-uniforms in one vectorized pass (``seeding.substream_uniforms``) and, at
-each step, featurizes the policy once per distinct cost among the alive
-episodes, so its Python work grows with the distinct states, not with
-the episodes.
+Besides the step API this module provides the feature maps, batched
+lockstep rollouts and the exact loss distribution of a fixed policy at
+any horizon, from the recombining cost lattice of
+``lattice.StoppingLattice``. The feature maps serve two kinds of caller.
+A batched rollout (the hot path of the trajectory gradient and of
+evaluation) draws all of its episodes' uniforms in one vectorized pass
+(``seeding.substream_uniforms``) and, at each step, featurizes the
+policy once per distinct cost among the alive episodes, so its Python
+work grows with the distinct states, not with the episodes. The
+actor-critic steps one state at a time, and its traffic rarely repeats a
+state, so there the cost of one call is what counts: ``per_action`` and
+the critic features clamp one state's coordinates in plain Python
+(``features.clamp``) and build its unit row as one array, which then goes
+through the same ``RbfGrid.batch`` as the rollouts' rows. Both paths give
+the same features bit for bit.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .features import AxisScale, RbfGrid, action_blocks, action_blocks_batch
+from .features import AxisScale, RbfGrid, action_blocks, clamp
 from .lattice import StoppingLattice
 from .mdp import AugState
 from .policy import action_probabilities, action_scores, sample_action
@@ -135,13 +142,14 @@ class OptStopPolicyFeatures:
         self.n_actions = 2
         self.dim = self.n_actions * self.rbf.n_features
 
-    def _unit_inputs(self, c, k, s=None) -> np.ndarray:
-        cols = [self.c_axis.unit(c), np.asarray(k, dtype=float) / self.params.T]
+    def _unit_inputs(self, c, k, s=None) -> list:
+        """Unit coordinates (cost, elapsed fraction[, budget]) of one state or of state arrays."""
+        cols = [self.c_axis.unit(c), k / self.params.T]
         if self.include_s:
             if s is None:
                 raise InputError("budget-aware features need the budget s")
             cols.append(self.s_axis.unit(s))
-        return np.stack([np.atleast_1d(col) for col in cols], axis=1)
+        return cols
 
     def per_action(self, state) -> np.ndarray:
         raw = not isinstance(state, AugState)
@@ -149,14 +157,15 @@ class OptStopPolicyFeatures:
             return np.zeros((1, self.dim))
         env_state, s = (state, None) if raw else (state.env_state, state.s)
         z = self._unit_inputs(env_state.c, env_state.k, s)
-        blocks = action_blocks(self.scale * self.rbf.batch(z)[0], self.n_actions)
+        blocks = action_blocks(self.scale * self.rbf(z), self.n_actions)
         # a raw state at the horizon has only the forced acceptance
         return blocks[:1] if raw and env_state.k >= self.params.T else blocks
 
     def per_action_batch(self, c: np.ndarray, k, s: np.ndarray | None = None) -> np.ndarray:
         """Features of len(c) raw states, (m, 2, dim); k is one step index or one per state."""
-        z = self._unit_inputs(c, np.full(len(c), k), s)
-        return action_blocks_batch(self.scale * self.rbf.batch(z), self.n_actions)
+        cols = self._unit_inputs(c, np.full(len(c), k), s)
+        z = np.stack(cols, axis=1)
+        return action_blocks(self.scale * self.rbf.batch(z), self.n_actions)
 
 
 BUDGET_KNOTS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -199,6 +208,7 @@ class OptStopCriticFeatures:
         self.knots = np.array(BUDGET_KNOTS if include_s else ())
         self.n_interior = self.rbf.n_features + self.knots.size
         self.dim = self.n_interior + 3
+        self._x0 = OptStopState(params.c0, 0)
 
     def __call__(self, state: AugState | OptStopState | None) -> np.ndarray:
         """Features of an augmented state, of the sink (None) or of a raw state.
@@ -215,21 +225,22 @@ class OptStopCriticFeatures:
         nb, ni = self.rbf.n_features, self.n_interior
         if state.at_terminal:
             if self.include_s:
-                s = float(np.clip(state.s, *self.s_range))
+                s = clamp(state.s, *self.s_range)
                 out[ni:] = (1.0, s / self.s_scale, max(-s, 0.0) / self.s_scale)
             else:
                 out[ni] = 1.0
             return out
-        cols = [self.c_axis.unit(state.env_state.c), state.env_state.k / self.params.T]
+        c, k = state.env_state.c, state.env_state.k
+        z = [self.c_axis.unit(c), k / self.params.T]
         if self.include_s:
-            cols.append(self.s_axis.unit(state.s))
-            out[nb:ni] = np.maximum(self.knots - state.s / state.env_state.c, 0.0)
-        out[:nb] = self.rbf(np.asarray(cols, dtype=float))
+            z.append(self.s_axis.unit(state.s))
+            np.maximum(self.knots - state.s / c, 0.0, out=out[nb:ni])
+        out[:nb] = self.rbf(z)
         return out
 
     def at_initial(self, s: float) -> np.ndarray:
         """Features of the initial environment state with budget s."""
-        return self(AugState(OptStopState(self.params.c0, 0), s))
+        return self(AugState(self._x0, s))
 
 
 @dataclass

@@ -49,13 +49,22 @@ def sample_action(probs: np.ndarray, u):
     return int(action) if action.ndim == 0 else action
 
 
+def _expected_features(feats: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_a mu(a | x) phi(x, a) of each decision, shape (..., dim).
+
+    Both score functions subtract this one expression, so the scores of a
+    batch and of one chosen action agree bit for bit.
+    """
+    return np.einsum("...a,...af->...f", probs, feats)
+
+
 def action_scores(feats: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Exact gradient of log mu at every action, from the decisions' probabilities.
 
     Returns shape (..., n_actions, dim), the shape of ``feats``.
     """
     feats = np.asarray(feats, dtype=float)
-    return feats - np.einsum("...a,...af->...f", probs, feats)[..., None, :]
+    return feats - _expected_features(feats, probs)[..., None, :]
 
 
 def grad_log_prob(feats: np.ndarray, probs: np.ndarray, action) -> np.ndarray:
@@ -68,4 +77,6 @@ def grad_log_prob(feats: np.ndarray, probs: np.ndarray, action) -> np.ndarray:
     n_actions = feats.shape[-2]
     if action.min() < 0 or action.max() >= n_actions:
         raise InputError(f"action outside support of size {n_actions}")
-    return action_scores(feats, probs)[np.indices(action.shape, sparse=True) + (action,)]
+    # only the chosen action's row: the other actions' scores are never built
+    chosen = feats[np.indices(action.shape, sparse=True) + (action,)]
+    return chosen - _expected_features(feats, probs)

@@ -7,6 +7,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
+from .features import clamp
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,9 @@ class Box:
             raise InputError("box lower bound exceeds upper bound")
 
     def project(self, x):
+        """``np.clip(x, lo, hi)``; a float between float bounds is clamped without numpy."""
+        if isinstance(x, float) and isinstance(self.lo, float) and isinstance(self.hi, float):
+            return clamp(x, self.lo, self.hi)
         return np.clip(x, self.lo, self.hi)
 
 

@@ -191,8 +191,7 @@ def test_criterion_4_critic_fixed_point():
     v = np.zeros(chain.n)
     n_samples = 200_000
     k = 1
-    for tr in sample_occupation_transitions(aug1, fmap, features, theta, nu,
-                                            rng, n_samples):
+    for tr in sample_occupation_transitions(aug1, fmap, features, theta, rng, n_samples):
         v = v + sched(k) * (tr.cost + GAMMA * (v @ tr.phi_next) - v @ tr.phi) * tr.phi
         k += 1
     td_rel = float(np.linalg.norm(v - v_star) / np.linalg.norm(v_star))

@@ -149,7 +149,7 @@ def test_td_converges_to_fixed_point_under_occupation_sampling():
     sched = StepSchedule(0.5, 0.55)
     v = np.zeros(chain.n)
     checkpoints = {2_000: None, 10_000: None, 40_000: None}
-    samples = sample_occupation_transitions(aug, fmap, features, theta, nu, rng, 40_000)
+    samples = sample_occupation_transitions(aug, fmap, features, theta, rng, 40_000)
     for k, tr in enumerate(samples, start=1):
         v = v + sched(k) * (tr.cost + GAMMA * (v @ tr.phi_next) - v @ tr.phi) * tr.phi
         if k in checkpoints:
@@ -166,7 +166,7 @@ def test_sampled_lstd_approaches_exact_system():
     exact = exact_lstd_system(chain, np.eye(chain.n), GAMMA, d)
     sys_ = LstdSystem(chain.n)
     rng = substream(7, "lstd")
-    for tr in sample_occupation_transitions(aug, fmap, features, theta, nu, rng, 30_000):
+    for tr in sample_occupation_transitions(aug, fmap, features, theta, rng, 30_000):
         accumulate_lstd(sys_, tr, GAMMA)
     assert np.max(np.abs(sys_.a - exact.a)) < 0.02
     assert np.max(np.abs(sys_.b - exact.b)) < 0.1  # terminal-cost entries are high variance
@@ -183,7 +183,7 @@ def test_occupation_sampler_marginal():
     n = 30_000
     counts = np.zeros(chain.n)
     sink = 0
-    for tr in sample_occupation_transitions(aug, fmap, features, theta, nu, rng, n):
+    for tr in sample_occupation_transitions(aug, fmap, features, theta, rng, n):
         if tr.phi.any():
             counts[np.argmax(tr.phi)] += 1
         else:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvarpg.errors import InputError
+from cvarpg.features import AxisScale
 from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import (
     AugmentedCostMode, AugmentedEnv, AugState, discounted_loss, enumerate_trajectories, rollout,
@@ -20,6 +21,7 @@ from cvarpg.optstop import (
     rollout_batch_augmented,
 )
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
+from cvarpg.schedules import Box
 from cvarpg.seeding import substream
 from conftest import trade_off_certificate
 
@@ -392,3 +394,57 @@ def test_critic_features_blocks():
     assert clamped[cf.n_interior + 2] == pytest.approx(1.0)
     # without the budget there are no hinges
     assert OptStopCriticFeatures(PAPER, centers_per_dim=3, include_s=False).n_interior == 3**2 + 1
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values and equal signs of zero (``np.array_equal`` takes -0.0 == 0.0)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_one_state_featurizers_equal_the_batch_path():
+    # the actor-critic featurizes one state per call; its one-state path must
+    # give the batch path's numbers bit for bit, or training would drift
+    params = OptStopParams(p_h=0.01, f_d=0.7, p=0.4)
+    aware = OptStopPolicyFeatures(params, include_s=True, scale=0.1)
+    blind = OptStopPolicyFeatures(params, include_s=False, scale=0.1)
+    critic = OptStopCriticFeatures(params)
+    rng = np.random.default_rng(2024)
+    log_lo, log_hi = np.log(aware.c_axis.lo), np.log(aware.c_axis.hi)
+    n = 400
+    # costs from below the log axis's floor to above its top, budgets beyond s_range
+    costs = np.exp(rng.uniform(log_lo - 2.0, log_hi + 1.0, n))
+    budgets = rng.uniform(-35.0, 35.0, n)
+    steps = rng.integers(0, params.T + 1, n)
+    assert costs.min() < aware.c_axis.lo and np.abs(budgets).max() > 20.0
+    assert (steps == params.T).any()
+    for c, k, s in zip(costs.tolist(), steps.tolist(), budgets.tolist()):
+        one = aware.per_action(AugState(OptStopState(c, k), s))
+        assert np.array_equal(one, aware.per_action_batch(np.array([c]), k, np.array([s]))[0])
+        raw = blind.per_action(OptStopState(c, k))
+        batch = blind.per_action_batch(np.array([c]), k)[0]
+        # a raw state at the horizon keeps only the forced acceptance
+        assert np.array_equal(raw, batch[:1] if k == params.T else batch)
+        z = np.stack([critic.c_axis.unit(np.array([c])), np.array([k / params.T]),
+                      critic.s_axis.unit(np.array([s]))], axis=1)
+        phi = critic(AugState(OptStopState(c, k), s))
+        assert np.array_equal(phi[:critic.rbf.n_features], critic.rbf.batch(z)[0])
+        if k == 0 and c == params.c0:
+            assert np.array_equal(critic.at_initial(s), phi)
+    assert np.array_equal(critic.at_initial(1.5),
+                          critic(AugState(OptStopState(params.c0, 0), 1.5)))
+
+    for axis, xs in ((aware.c_axis, costs), (aware.s_axis, budgets),
+                     (AxisScale(0.0, 5.0), np.array([-0.0, 0.0, -1.0, 2.5, 5.0, 7.0]))):
+        unit = axis.unit(xs)
+        for i, x in enumerate(xs.tolist()):
+            assert _same_bits(axis.unit(x), unit[i])
+
+    xs = [-0.0, 0.0, -1.0, 2.5, 5.0, 7.0, -1e-300]
+    for lo, hi in ((0.0, 5.0), (-0.0, 0.0), (-1.0, -0.0), (0.0, 0.0)):
+        box = Box(lo, hi)
+        for x in xs:
+            assert _same_bits(box.project(x), np.clip(x, lo, hi))
+        assert _same_bits(box.project(np.array(xs)), np.clip(np.array(xs), lo, hi))
+    lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, -0.0, 2.0])
+    for x in (np.array([-0.0, 0.5, 3.0]), np.array([0.5, -2.0, 1.0]), -0.0, 0.5):
+        assert _same_bits(Box(lo, hi).project(x), np.clip(x, lo, hi))
