@@ -15,8 +15,10 @@ Three flavours share one episode loop:
 
 Every episode steps ``mdp.AugmentedEnv``: STANDARD cost mode for the
 first two, ZEROED for the two-critic variant. The loop holds no budget
-dynamics or terminal penalty of its own. Updates inside one step all
-read the pre-step iterates (simultaneous update convention).
+dynamics or terminal penalty of its own. Every critic, the raw-process
+one included, moves by ``td_step``, the one linear TD(0) step. Updates
+inside one step all read the pre-step iterates (simultaneous update
+convention).
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .schedules import (
 __all__ = [
     "AcVariant",
     "AcIterate",
+    "td_step",
     "spsa_nu_gradient",
     "spsa_nu_update",
     "ac_theta_update",
@@ -59,6 +62,20 @@ class AcIterate:
     lam: float
     v: np.ndarray
     u: np.ndarray | None = None
+
+
+def td_step(v: np.ndarray, phi: np.ndarray, cost: float, bootstrap: float, step: float,
+            gamma: float) -> tuple[np.ndarray, float]:
+    """One linear TD(0) step; returns (v + step * delta * phi, delta).
+
+    delta = cost + gamma * bootstrap - v.phi, where ``bootstrap`` is the
+    successor's value: v.phi' at an interior successor, 0 at the sink, or
+    a closed form where one is known.
+    """
+    if step <= 0.0:
+        raise InputError(f"step must be positive, got {step}")
+    delta = cost + gamma * bootstrap - float(v @ phi)
+    return v + step * delta * phi, delta
 
 
 def spsa_nu_gradient(
@@ -101,7 +118,6 @@ def ac_lambda_update_incremental(
     risk: RiskSpec,
     gamma_pow: float,
     s: float,
-    at_terminal: bool,
     step: float,
     lam_box: Box,
 ) -> float:
@@ -110,13 +126,11 @@ def ac_lambda_update_incremental(
     The step fires once per episode, at the terminal state, where
     gamma^n (-s_n)^+ = (D - nu)^+ for the episode loss D, so the expected
     per-episode drift is step * (nu - beta + E[(D - nu)^+] / (1 - alpha)),
-    the Lagrangian's gradient in lambda. Interior states leave lambda
-    unchanged: adding nu - beta at each of the n + 1 states an on-policy
+    the Lagrangian's gradient in lambda. The loop takes no step at interior
+    states: adding nu - beta at each of the n + 1 states an on-policy
     episode visits would weight it by the episode length, which is
     unbiased only under occupation-measure sampling.
     """
-    if not at_terminal:
-        return float(lam)
     excess = gamma_pow * max(-s, 0.0) / (1.0 - risk.alpha)
     return float(lam_box.project(lam + step * (nu - risk.beta + excess)))
 
@@ -210,11 +224,8 @@ def ac_train(
     v = np.asarray(iterate0.v, dtype=float).copy()
     u = None
     if alternative:
-        u = (
-            np.asarray(iterate0.u, dtype=float).copy()
-            if iterate0.u is not None
-            else np.zeros(original_critic_features.dim)
-        )
+        u0 = iterate0.u if iterate0.u is not None else np.zeros(original_critic_features.dim)
+        u = np.asarray(u0, dtype=float).copy()
     controller = CapController(risk.lambda_max, window, rel_tol, lambda_margin, risk_neutral)
     k_global = 1
 
@@ -262,23 +273,21 @@ def ac_train(
             else:
                 phi_next = critic_features(next_state)
                 v_phi_next = float(v @ phi_next)
-            v_phi_here = float(v @ phi)
-            delta = cost_bar + gamma * v_phi_next - v_phi_here
+            # per-step updates decay with the global step count in every
+            # variant; indexing them by episode would give each step of
+            # the first episode the full schedule coefficient
+            v_new, delta = td_step(v, phi, cost_bar, v_phi_next, zeta4(k_global), gamma)
 
             eps, f_next = 0.0, None
             if alternative and not done:
                 f = original_critic_features(state.env_state) if f is None else f
-                f_next = (np.zeros_like(f) if next_state.at_terminal
-                          else original_critic_features(next_state.env_state))
-                eps = env_cost + gamma * float(u @ f_next) - float(u @ f)
+                # the raw process ends where the augmented one reaches its terminal state
+                if not next_state.at_terminal:
+                    f_next = original_critic_features(next_state.env_state)
+                u_next = 0.0 if f_next is None else float(u @ f_next)
+                u, eps = td_step(u, f, env_cost, u_next, zeta4(k_global), gamma)
 
             nu_old, lam_old = nu, lam
-            # per-step updates decay with the global step count in every
-            # variant; indexing them by episode would give each step of
-            # the first episode the full schedule coefficient
-            v_new = v + zeta4(k_global) * delta * phi
-            if alternative and not done:
-                u = u + zeta4(k_global) * eps * f
 
             if step_multipliers:
                 dk = perturbation(k_global)
@@ -305,14 +314,14 @@ def ac_train(
 
             if step_multipliers:
                 if alternative:
+                    # reads the pre-step critic, as the TD step did
                     lam = ac_lambda_update_alternative(
-                        lam_old, nu_old, risk, v_phi_here, zeta1(k_global), controller.lam_box
+                        lam_old, nu_old, risk, float(v @ phi), zeta1(k_global), controller.lam_box
                     )
                 elif done:
                     # the incremental step fires only at the terminal state
                     lam = ac_lambda_update_incremental(
-                        lam_old, nu_old, risk, disc, state.s, True,
-                        zeta1(k_global), controller.lam_box,
+                        lam_old, nu_old, risk, disc, state.s, zeta1(k_global), controller.lam_box,
                     )
 
             v = v_new

@@ -7,15 +7,39 @@ typos fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
+from .ac import AcVariant
 from .errors import ConfigError
 from .optstop import OptStopParams
 from .risk import RiskSpec
 from .schedules import Box, PerturbationSchedule, StepSchedule, TimescaleStack, nu_interval
 
-ALGORITHMS = ("PG", "PG_CVAR", "AC", "AC_CVAR_SPSA", "AC_CVAR_SEMI", "AC_CVAR_ALT")
+
+class Algorithm(NamedTuple):
+    """What an algorithm name selects: its learner, objective and policy inputs."""
+
+    ac_variant: AcVariant | None  # the actor-critic loop's variant; None: trajectory PG
+    risk_neutral: bool            # nu and lambda stay frozen; the mean loss is the objective
+    budget_aware: bool            # policy and critic features read the budget s
+
+
+ALGORITHMS = {
+    "PG": Algorithm(None, True, False),
+    "PG_CVAR": Algorithm(None, False, False),
+    "AC": Algorithm(AcVariant.SPSA_INCREMENTAL, True, False),
+    "AC_CVAR_SPSA": Algorithm(AcVariant.SPSA_INCREMENTAL, False, True),
+    "AC_CVAR_SEMI": Algorithm(AcVariant.SEMI_TRAJECTORY, False, True),
+    "AC_CVAR_ALT": Algorithm(AcVariant.ALTERNATIVE_TWO_CRITIC, False, True),
+}
+
+
+def algorithm_spec(name: str) -> Algorithm:
+    if name not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}")
+    return ALGORITHMS[name]
 
 
 @dataclass
@@ -80,12 +104,11 @@ class ExperimentConfig:
     # ---- derived builders -------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+        spec = algorithm_spec(self.algorithm)
         try:
             self.env_params()
             self.risk_spec()
-            if self.algorithm.startswith("PG"):
+            if spec.ac_variant is None:
                 self.pg_stack()
             else:
                 self.ac_stack()

@@ -16,7 +16,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .ac import AcIterate, AcVariant, ac_train
-from .config import ExperimentConfig
+from .config import ExperimentConfig, algorithm_spec, config_from_mapping
 from .errors import InputError
 from .optstop import (
     OptStopCriticFeatures,
@@ -28,13 +28,6 @@ from .optstop import (
 from .pg import SaddleIterate, pg_train
 from .risk import EmpiricalDistribution, cvar, tail_probability, value_at_risk
 from .seeding import substream
-
-_AC_VARIANTS = {
-    "AC_CVAR_SPSA": AcVariant.SPSA_INCREMENTAL,
-    "AC_CVAR_SEMI": AcVariant.SEMI_TRAJECTORY,
-    "AC_CVAR_ALT": AcVariant.ALTERNATIVE_TWO_CRITIC,
-}
-
 
 @dataclass
 class TrainedPolicy:
@@ -108,16 +101,16 @@ def warmup_quantile(config: ExperimentConfig, seed: int, alpha: float) -> float:
 
 
 def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
-    algorithm = config.algorithm
+    spec = algorithm_spec(config.algorithm)
+    risk_neutral = spec.risk_neutral
     risk = config.risk_spec()
     env = OptStopEnv(config.env_params())
+    nu0 = 0.0 if risk_neutral else warmup_quantile(config, seed, risk.alpha)
+    lam0 = 0.0 if risk_neutral else 1.0
 
-    if algorithm in ("PG", "PG_CVAR"):
-        risk_neutral = algorithm == "PG"
+    if spec.ac_variant is None:
         feats = policy_feature_map(config, include_s=False)
         theta0 = np.zeros(feats.dim)
-        nu0 = 0.0 if risk_neutral else warmup_quantile(config, seed, risk.alpha)
-        lam0 = 0.0 if risk_neutral else 1.0
         n = config.pg_batch_size
 
         def sampler(theta, round_idx, iter_idx):
@@ -139,18 +132,13 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             lambda_margin=config.train_lambda_margin,
             risk_neutral=risk_neutral,
         )
-    elif algorithm == "AC" or algorithm in _AC_VARIANTS:
-        risk_neutral = algorithm == "AC"
-        include_s = not risk_neutral
-        feats = policy_feature_map(config, include_s=include_s, incremental=True)
-        cfeats = critic_feature_map(config, include_s=include_s)
-        variant = _AC_VARIANTS.get(algorithm, AcVariant.SPSA_INCREMENTAL)
+    else:
+        feats = policy_feature_map(config, include_s=spec.budget_aware, incremental=True)
+        cfeats = critic_feature_map(config, include_s=spec.budget_aware)
         theta0 = np.zeros(feats.dim)
-        nu0 = 0.0 if risk_neutral else warmup_quantile(config, seed, risk.alpha)
-        lam0 = 0.0 if risk_neutral else 1.0
         stack = config.ac_stack()
         orig_cfeats = None
-        if variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
+        if spec.ac_variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
             orig_cfeats = critic_feature_map(config, include_s=False)
         result = ac_train(
             env,
@@ -163,7 +151,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             config.theta_box(),
             config.nu_box(),
             substream(seed, "ac"),
-            variant,
+            spec.ac_variant,
             config.ac_tuning_episodes,
             config.ac_episode_cap,
             horizon_cap=config.env_T + 2,
@@ -177,12 +165,10 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             ),
             critic_warmup_episodes=config.ac_critic_warmup_episodes,
         )
-    else:
-        raise InputError(f"unknown algorithm {algorithm!r}")
 
     it = result.iterate
     v, u = (it.v, it.u) if isinstance(it, AcIterate) else (None, None)
-    return TrainedPolicy(algorithm, it.theta, it.nu, it.lam, v, u, result.converged,
+    return TrainedPolicy(config.algorithm, it.theta, it.nu, it.lam, v, u, result.converged,
                          result.lambda_max, result.doublings, result.history)
 
 
@@ -190,14 +176,14 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
                     episodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Roll the learned policy out; returns (losses, episode lengths)."""
     env = OptStopEnv(config.env_params())
-    if trained.algorithm in ("PG", "PG_CVAR"):
+    spec = algorithm_spec(trained.algorithm)
+    if spec.ac_variant is None:
         feats = policy_feature_map(config, include_s=False)
         batch = rollout_batch(env, feats, trained.theta, seed, ("eval",), episodes,
                               with_scores=False)
     else:
-        include_s = trained.algorithm != "AC"
-        feats = policy_feature_map(config, include_s=include_s, incremental=True)
-        s0 = trained.nu if include_s else 0.0
+        feats = policy_feature_map(config, include_s=spec.budget_aware, incremental=True)
+        s0 = trained.nu if spec.budget_aware else 0.0
         batch = rollout_batch_augmented(env, feats, trained.theta, s0, seed, ("eval",), episodes,
                                         with_scores=False)
     return batch.losses, batch.lengths
@@ -349,11 +335,9 @@ def write_artifacts(out_dir: Path, config: ExperimentConfig, trained: TrainedPol
 
 
 def load_params(path: str) -> tuple[ExperimentConfig, TrainedPolicy]:
-    from .config import config_from_mapping
-
     with open(path, "r", encoding="utf-8") as fh:
         params = json.load(fh)
-    config = config_from_mapping({k: v for k, v in params["config"].items()})
+    config = config_from_mapping(params["config"])
     trained = TrainedPolicy(
         algorithm=params["algorithm"],
         theta=np.asarray(params["theta"], dtype=float),

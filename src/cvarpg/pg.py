@@ -26,7 +26,6 @@ class SaddleIterate:
     theta: np.ndarray
     nu: float
     lam: float
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class GradientEstimate:
     g_theta: np.ndarray
     g_nu: float
     g_lambda: float
-    batch_size: int
 
 
 def estimate_batch_gradients(
@@ -64,14 +62,7 @@ def estimate_batch_gradients(
         scores.T @ ((losses - nu) * tail)
     )
     g_lambda = nu - risk.beta + float(((losses - nu) * tail).sum()) / (one_m_alpha * n)
-    return GradientEstimate(g_theta, g_nu, g_lambda, n)
-
-
-def estimate_from_trajectories(trajectories, nu, lam, risk) -> GradientEstimate:
-    """Convenience wrapper over a list of Trajectory objects."""
-    losses = np.array([t.loss for t in trajectories])
-    scores = np.stack([t.score for t in trajectories])
-    return estimate_batch_gradients(losses, scores, nu, lam, risk)
+    return GradientEstimate(g_theta, g_nu, g_lambda)
 
 
 def pg_iteration(
@@ -91,10 +82,10 @@ def pg_iteration(
     box_lam, box_theta, box_nu = boxes
     theta = box_theta.project(iterate.theta - zeta_theta(i) * grads.g_theta)
     if risk_neutral:
-        return SaddleIterate(theta, iterate.nu, iterate.lam, iterate.iteration + 1)
+        return SaddleIterate(theta, iterate.nu, iterate.lam)
     nu = float(box_nu.project(iterate.nu - zeta_nu(i) * grads.g_nu))
     lam = float(box_lam.project(iterate.lam + zeta_lam(i) * grads.g_lambda))
-    return SaddleIterate(theta, nu, lam, iterate.iteration + 1)
+    return SaddleIterate(theta, nu, lam)
 
 
 def pg_train(

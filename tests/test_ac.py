@@ -12,9 +12,8 @@ from cvarpg.ac import (
     spsa_nu_gradient,
     spsa_nu_update,
 )
-from cvarpg.critic import build_chain, value_iteration
 from cvarpg.errors import InputError
-from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState, FiniteMDP, enumerate_trajectories
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.schedules import (
     Box,
@@ -24,7 +23,10 @@ from cvarpg.schedules import (
     lambda_max_controller,
 )
 from cvarpg.seeding import substream
-from conftest import ChainFeatures, TabularPolicyFeatures, make_diamond_mdp
+from oracles import (
+    ChainFeatures, FiniteMDP, TabularPolicyFeatures, build_chain, enumerate_trajectories,
+    make_diamond_mdp, occupation_measure, value_iteration,
+)
 
 GAMMA = 0.5
 AC_STACK = (
@@ -76,18 +78,15 @@ def test_theta_update_scale_and_projection():
 def test_lambda_update_incremental_cases():
     risk = RiskSpec(0.9, 1.9, 100.0, 0.95)
     box = Box(0.0, 100.0)
-    # interior states leave lambda alone: the whole per-episode step is
-    # taken at the terminal state (see test_spsa_lambda_drift_is_lagrangian_gradient)
-    interior = ac_lambda_update_incremental(1.0, 2.4, risk, 0.5, s=3.0,
-                                            at_terminal=False, step=0.1, lam_box=box)
-    assert interior == 1.0
+    # the update is the terminal state's whole per-episode step
+    # (see test_spsa_lambda_drift_is_lagrangian_gradient)
     gamma_pow = 0.95**4
     risk_eq = RiskSpec(0.9, 1.9, 100.0, 0.95)
     terminal = ac_lambda_update_incremental(1.0, 1.9, risk_eq, gamma_pow, s=-1.0,
-                                            at_terminal=True, step=0.1, lam_box=box)
+                                            step=0.1, lam_box=box)
     assert terminal == pytest.approx(1.0 + 0.1 * gamma_pow * 10.0)
     slack = ac_lambda_update_incremental(1.0, 1.9, risk_eq, gamma_pow, s=0.5,
-                                         at_terminal=True, step=0.1, lam_box=box)
+                                         step=0.1, lam_box=box)
     assert slack == pytest.approx(1.0)
 
 
@@ -145,8 +144,6 @@ def test_semi_quantile_estimator_unbiased_by_enumeration():
 
 
 def test_multiplier_estimator_unbiased_under_occupation_measure():
-    from cvarpg.critic import occupation_measure
-
     rng = np.random.default_rng(13)
     theta = rng.normal(0, 0.6, 8)
     lam, alpha, nu, beta = 1.2, 0.6, 1.3, 2.0
@@ -166,9 +163,10 @@ def test_multiplier_estimator_unbiased_under_occupation_measure():
 @pytest.mark.parametrize("violated", [True, False])
 def test_spsa_lambda_drift_is_lagrangian_gradient(violated):
     # expected per-episode multiplier drift of the fully incremental loop,
-    # which calls the update at every state of an on-policy episode, must
-    # equal step * (nu - beta + E[(D - nu)^+] / (1 - alpha)), so that lambda
-    # rises exactly when the constraint at the current quantile is violated
+    # which calls the update at the terminal state of an on-policy episode,
+    # must equal step * (nu - beta + E[(D - nu)^+] / (1 - alpha)), so that
+    # lambda rises exactly when the constraint at the current quantile is
+    # violated
     rng = np.random.default_rng(19)
     theta = rng.normal(0, 0.6, 8)
     lam, alpha, step = 1.0, 0.6, 0.01
@@ -185,10 +183,10 @@ def test_spsa_lambda_drift_is_lagrangian_gradient(violated):
     box = Box(0.0, 100.0)
     drift = 0.0
     for p, t in enumerate_trajectories(aug, fmap, theta, GAMMA, 30):
-        for depth, state in enumerate(t.states[:-1]):  # the sink takes no step
-            new = ac_lambda_update_incremental(lam, nu, risk, GAMMA**depth, state.s,
-                                               state.at_terminal, step, box)
-            drift += p * (new - lam)
+        depth, state = len(t.states) - 2, t.states[-2]  # the state before the sink
+        assert state.at_terminal
+        new = ac_lambda_update_incremental(lam, nu, risk, GAMMA**depth, state.s, step, box)
+        drift += p * (new - lam)
     gradient = nu - beta + sum(p * max(t.loss - nu, 0.0) for p, t in raw_trajs) / (1.0 - alpha)
     assert drift == pytest.approx(step * gradient, abs=1e-12)
     if violated:
@@ -486,7 +484,8 @@ def test_learner_steps_the_augmented_env(monkeypatch, variant):
 def test_one_softmax_per_decision(monkeypatch):
     # the draw and the score of a decision share its probabilities; the
     # critic chain that _run_ac builds also featurizes each state once
-    from cvarpg import ac, critic, policy
+    import oracles
+    from cvarpg import ac, policy
 
     counts = {"softmax": 0, "decisions": 0}
 
@@ -499,7 +498,7 @@ def test_one_softmax_per_decision(monkeypatch):
         return original(self, state)
 
     monkeypatch.setattr(policy, "action_probabilities", counted_softmax)
-    monkeypatch.setattr(critic, "action_probabilities", counted_softmax)
+    monkeypatch.setattr(oracles, "action_probabilities", counted_softmax)
     monkeypatch.setattr(ac, "action_probabilities", counted_softmax, raising=False)
     monkeypatch.setattr(TabularPolicyFeatures, "per_action", counted_features)
     result = _run_ac(AcVariant.SPSA_INCREMENTAL, episodes=12)

@@ -7,39 +7,20 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from cvarpg.ac import spsa_nu_gradient
+from cvarpg.ac import td_step
 from cvarpg.config import ExperimentConfig
-from cvarpg.critic import (
-    build_chain,
-    exact_lstd_system,
-    lstd_solve,
-    occupation_measure,
-    sample_occupation_transitions,
-    value_iteration,
-)
 from cvarpg.harness import run_experiment
-from cvarpg.mdp import (
-    AugmentedCostMode,
-    AugmentedEnv,
-    augmented_loss_identity,
-    enumerate_trajectories,
-    rollout,
-)
-from cvarpg.pg import estimate_from_trajectories
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar
 from cvarpg.schedules import StepSchedule
 from cvarpg.seeding import substream
-from conftest import (
-    ChainFeatures,
-    TabularPolicyFeatures,
-    cvar_oracle,
-    enumerated_gradients,
-    enumerated_objective,
-    make_diamond_mdp,
-    make_random_terminating_mdp,
-    trade_off_certificate,
+from oracles import (
+    ChainFeatures, TabularPolicyFeatures, augmented_loss_identity, build_chain, cvar_oracle,
+    enumerate_trajectories, enumerated_gradients, enumerated_objective,
+    estimate_from_trajectories, exact_lstd_system, lstd_solve, make_diamond_mdp,
+    make_random_terminating_mdp, occupation_measure, rollout, sample_occupation_transitions,
+    trade_off_certificate, value_iteration,
 )
 
 GAMMA = 0.5  # toy discount keeping augmented budgets exactly representable
@@ -192,7 +173,7 @@ def test_criterion_4_critic_fixed_point():
     n_samples = 200_000
     k = 1
     for tr in sample_occupation_transitions(aug1, fmap, features, theta, rng, n_samples):
-        v = v + sched(k) * (tr.cost + GAMMA * (v @ tr.phi_next) - v @ tr.phi) * tr.phi
+        v, _ = td_step(v, tr.phi, tr.cost, float(v @ tr.phi_next), sched(k), GAMMA)
         k += 1
     td_rel = float(np.linalg.norm(v - v_star) / np.linalg.norm(v_star))
 

@@ -1,25 +1,17 @@
 import numpy as np
 import pytest
 
-from cvarpg.critic import (
-    LstdSystem,
-    Transition,
-    accumulate_lstd,
-    build_chain,
-    exact_lstd_system,
-    lstd_solve,
-    occupation_measure,
-    sample_occupation_transitions,
-    td_error,
-    td_update,
-    value_iteration,
-)
+from cvarpg.ac import td_step
 from cvarpg.errors import InputError, SolverError
-from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState, enumerate_trajectories
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv
 from cvarpg.risk import RiskSpec
 from cvarpg.schedules import StepSchedule
 from cvarpg.seeding import substream
-from conftest import ChainFeatures, TabularPolicyFeatures, make_diamond_mdp
+from oracles import (
+    ChainFeatures, LstdSystem, TabularPolicyFeatures, Transition, accumulate_lstd, build_chain,
+    enumerate_trajectories, exact_lstd_system, lstd_solve, make_diamond_mdp,
+    occupation_measure, sample_occupation_transitions, value_iteration,
+)
 
 GAMMA = 0.5  # keeps every reachable budget value exactly representable
 
@@ -28,33 +20,38 @@ def _tr(phi, phi_next, cost):
     return Transition(np.asarray(phi, float), np.asarray(phi_next, float), cost)
 
 
-def test_td_error_formula():
+def _td(v, tr, gamma, step=1.0):
+    """The TD step on a transition, bootstrapping from the critic at phi_next."""
+    return td_step(v, tr.phi, tr.cost, float(v @ tr.phi_next), step, gamma)
+
+
+def test_td_step_delta_formula():
     v = np.array([2.0, 3.0])
     tr = _tr([0.0, 1.0], [1.0, 0.0], 1.0)
-    assert td_error(v, tr, 0.95) == pytest.approx(-0.1, abs=1e-12)
-    assert td_error(np.zeros(2), tr, 0.95) == 1.0
+    assert _td(v, tr, 0.95)[1] == pytest.approx(-0.1, abs=1e-12)
+    assert _td(np.zeros(2), tr, 0.95)[1] == 1.0
 
 
-def test_td_update_rank_one():
+def test_td_step_rank_one():
     tr = _tr([1.0, 0.5], [0.0, 0.0], 1.0)
-    v = td_update(np.zeros(2), tr, 0.1, 0.9)
+    v, _ = _td(np.zeros(2), tr, 0.9, step=0.1)
     assert v == pytest.approx([0.1, 0.05])
     v_fixed = np.array([4.0, 0.0])
     tr0 = _tr([1.0, 0.0], [1.0, 0.0], 0.4)  # delta = 0.4 + 0.9*4 - 4 = 0
-    assert td_update(v_fixed, tr0, 0.2, 0.9) == pytest.approx(v_fixed)
+    assert _td(v_fixed, tr0, 0.9, step=0.2)[0] == pytest.approx(v_fixed)
     with pytest.raises(InputError):
-        td_update(v_fixed, tr0, 0.0, 0.9)
+        _td(v_fixed, tr0, 0.9, step=0.0)
 
 
-def test_td_error_zero_at_bellman_fixed_point():
+def test_td_step_zero_at_bellman_fixed_point():
     # two-state deterministic chain: V = (c0 + gamma*c1, c1)
     gamma = 0.8
     c0, c1 = 1.0, 2.0
     v = np.array([c0 + gamma * c1, c1])
     tr01 = _tr([1.0, 0.0], [0.0, 1.0], c0)
     tr1T = _tr([0.0, 1.0], [0.0, 0.0], c1)
-    assert td_error(v, tr01, gamma) == pytest.approx(0.0, abs=1e-12)
-    assert td_error(v, tr1T, gamma) == pytest.approx(0.0, abs=1e-12)
+    assert _td(v, tr01, gamma)[1] == pytest.approx(0.0, abs=1e-12)
+    assert _td(v, tr1T, gamma)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_accumulate_lstd_examples():
@@ -151,7 +148,7 @@ def test_td_converges_to_fixed_point_under_occupation_sampling():
     checkpoints = {2_000: None, 10_000: None, 40_000: None}
     samples = sample_occupation_transitions(aug, fmap, features, theta, rng, 40_000)
     for k, tr in enumerate(samples, start=1):
-        v = v + sched(k) * (tr.cost + GAMMA * (v @ tr.phi_next) - v @ tr.phi) * tr.phi
+        v, _ = _td(v, tr, GAMMA, step=sched(k))
         if k in checkpoints:
             checkpoints[k] = np.linalg.norm(v - v_star)
     errs = [checkpoints[k] for k in sorted(checkpoints)]
@@ -236,7 +233,7 @@ def test_repeated_td_sweeps_approach_lstd_solution():
     k = 1
     for epoch in range(200):
         for tr in transitions:
-            v = td_update(v, tr, 0.5 / k**0.55, gamma)
+            v, _ = _td(v, tr, gamma, step=0.5 / k**0.55)
             k += 1
         if epoch % 50 == 49:
             dist = np.linalg.norm(v - target)

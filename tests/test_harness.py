@@ -11,12 +11,10 @@ from cvarpg import harness
 from cvarpg.config import (
     ExperimentConfig,
     config_from_mapping,
-    load_config,
     parse_config_text,
 )
 from cvarpg.errors import ConfigError, InputError
 from cvarpg.harness import (
-    EvaluationReport,
     build_report,
     compare,
     evaluate_policy,

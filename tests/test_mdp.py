@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 from cvarpg.errors import InputError, SimulationError
-from cvarpg.mdp import (
-    AugmentedCostMode,
-    AugmentedEnv,
-    AugState,
-    FiniteMDP,
-    augmented_loss_identity,
-    discounted_loss,
-    enumerate_trajectories,
-    rollout,
-)
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState
 from cvarpg.risk import RiskSpec
 from cvarpg.seeding import substream
-from conftest import TabularPolicyFeatures, make_diamond_mdp
+from oracles import (
+    FiniteMDP, TabularPolicyFeatures, augmented_loss_identity, discounted_loss,
+    enumerate_trajectories, make_random_terminating_mdp, rollout,
+)
 
 
 class FixedCostChain:
@@ -128,14 +122,11 @@ def test_loss_identity_zero_costs():
     assert lhs == 0.0 and rhs == 0.0
 
 
-from conftest import make_random_terminating_mdp as _random_mdp
-
-
 def test_loss_identity_randomized():
     rng = np.random.default_rng(23)
     fmap = None
     for trial in range(300):
-        env = _random_mdp(rng)
+        env = make_random_terminating_mdp(rng)
         gamma = float(rng.uniform(0.5, 0.99))
         alpha = float(rng.uniform(0.05, 0.95))
         lam = float(rng.uniform(0.0, 3.0))
@@ -152,7 +143,7 @@ def test_loss_identity_randomized():
 def test_zeroed_mode_isolates_excess():
     rng = np.random.default_rng(29)
     for trial in range(100):
-        env = _random_mdp(rng)
+        env = make_random_terminating_mdp(rng)
         gamma = float(rng.uniform(0.5, 0.99))
         alpha = float(rng.uniform(0.05, 0.95))
         s0 = float(rng.uniform(-2.0, 5.0))
@@ -177,7 +168,7 @@ def test_zeroed_mode_isolates_excess():
 
 def test_budget_replay_bit_exact():
     rng = np.random.default_rng(31)
-    env = _random_mdp(rng)
+    env = make_random_terminating_mdp(rng)
     gamma = 0.7
     risk = RiskSpec(0.5, 1.0, 10.0, gamma)
     aug = AugmentedEnv(env, 1.0, risk, AugmentedCostMode.STANDARD, s0=2.0)

@@ -4,9 +4,7 @@ import pytest
 from cvarpg.errors import InputError
 from cvarpg.features import AxisScale
 from cvarpg.lattice import StoppingLattice
-from cvarpg.mdp import (
-    AugmentedCostMode, AugmentedEnv, AugState, discounted_loss, enumerate_trajectories, rollout,
-)
+from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState
 from cvarpg.optstop import (
     ACCEPT,
     BUDGET_KNOTS,
@@ -23,7 +21,7 @@ from cvarpg.optstop import (
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.schedules import Box
 from cvarpg.seeding import substream
-from conftest import trade_off_certificate
+from oracles import discounted_loss, enumerate_trajectories, rollout, trade_off_certificate
 
 PAPER = OptStopParams()  # c0=1, p_h=0.1, T=20, f_u=1.5, f_d=0.8, p=0.65, gamma=0.95
 

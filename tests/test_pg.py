@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 
 from cvarpg.errors import InputError
-from cvarpg.mdp import FiniteMDP, enumerate_trajectories, rollout
 from cvarpg.pg import (
     GradientEstimate,
     SaddleIterate,
     estimate_batch_gradients,
-    estimate_from_trajectories,
     pg_iteration,
     pg_train,
 )
 from cvarpg.risk import RiskSpec
 from cvarpg.schedules import Box, StepSchedule
 from cvarpg.seeding import substream
-from conftest import (
-    TabularPolicyFeatures,
-    enumerated_gradients,
-    enumerated_objective,
-    make_diamond_mdp,
+from oracles import (
+    FiniteMDP, TabularPolicyFeatures, enumerate_trajectories, enumerated_gradients,
+    enumerated_objective, estimate_from_trajectories, rollout,
 )
 
 RISK_HALF = RiskSpec(0.5, 1.9, 100.0, 0.9)
@@ -52,15 +48,14 @@ def test_empty_batch_rejected():
 def test_iteration_projections():
     schedules = (StepSchedule(0.1, 1.0), StepSchedule(0.05, 0.8), StepSchedule(0.01, 0.55))
     boxes = (Box(0.0, 5.0), Box(-1.0, 1.0), Box(-10.0, 10.0))
-    it = SaddleIterate(np.array([0.5]), nu=1.0, lam=5.0, iteration=3)
+    it = SaddleIterate(np.array([0.5]), nu=1.0, lam=5.0)
 
-    zero = GradientEstimate(np.zeros(1), 0.0, 0.0, 4)
+    zero = GradientEstimate(np.zeros(1), 0.0, 0.0)
     unchanged = pg_iteration(it, zero, 1, schedules, boxes)
     assert unchanged.theta == pytest.approx(it.theta)
     assert unchanged.nu == it.nu and unchanged.lam == it.lam
-    assert unchanged.iteration == 4
 
-    push_up = GradientEstimate(np.zeros(1), 0.0, 10.0, 4)  # ascent at the cap
+    push_up = GradientEstimate(np.zeros(1), 0.0, 10.0)  # ascent at the cap
     capped = pg_iteration(it, push_up, 1, schedules, boxes)
     assert capped.lam == 5.0
 
@@ -71,7 +66,7 @@ def test_risk_neutral_iteration_is_plain_reinforce():
     rng = np.random.default_rng(1)
     losses = rng.uniform(0, 3, 8)
     scores = rng.normal(0, 1, (8, 2))
-    it = SaddleIterate(rng.normal(0, 1, 2), nu=0.7, lam=0.0, iteration=0)
+    it = SaddleIterate(rng.normal(0, 1, 2), nu=0.7, lam=0.0)
     g = estimate_batch_gradients(losses, scores, it.nu, it.lam, RISK_HALF)
     out = pg_iteration(it, g, 3, schedules, boxes, risk_neutral=True)
     manual = it.theta - schedules[1](3) * (scores.T @ losses / 8)

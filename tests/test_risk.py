@@ -12,7 +12,7 @@ from cvarpg.risk import (
     tail_probability,
     value_at_risk,
 )
-from conftest import cvar_oracle
+from oracles import cvar_oracle
 
 UNIFORM4 = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
 
