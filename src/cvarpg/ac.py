@@ -23,7 +23,6 @@ convention).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +31,11 @@ from .mdp import AugmentedCostMode, AugmentedEnv
 from .policy import action_probabilities, grad_log_prob, sample_action
 from .risk import RiskSpec
 from .schedules import (
-    Box, CapController, Decision, PerturbationSchedule, StepSchedule, TrainResult,
+    Box, CapController, Iterate, PerturbationSchedule, StepSchedule, TrainResult,
 )
 
 __all__ = [
     "AcVariant",
-    "AcIterate",
     "td_step",
     "spsa_nu_gradient",
     "spsa_nu_update",
@@ -53,15 +51,6 @@ class AcVariant(enum.Enum):
     SPSA_INCREMENTAL = "spsa"
     SEMI_TRAJECTORY = "semi"
     ALTERNATIVE_TWO_CRITIC = "alternative"
-
-
-@dataclass
-class AcIterate:
-    theta: np.ndarray
-    nu: float
-    lam: float
-    v: np.ndarray
-    u: np.ndarray | None = None
 
 
 def td_step(v: np.ndarray, phi: np.ndarray, cost: float, bootstrap: float, step: float,
@@ -173,7 +162,7 @@ def ac_train(
     env,
     policy_features,
     critic_features,
-    iterate0: AcIterate,
+    iterate0: Iterate,
     risk: RiskSpec,
     stack: tuple[StepSchedule, StepSchedule, StepSchedule, StepSchedule],
     perturbation: PerturbationSchedule,
@@ -183,29 +172,27 @@ def ac_train(
     variant: AcVariant,
     tuning_episodes: int,
     episode_cap: int,
+    controller: CapController,
     horizon_cap: int = 10_000,
     original_critic_features=None,
-    risk_neutral: bool = False,
-    window: int = 50,
-    rel_tol: float = 1e-4,
-    lambda_margin: float = 0.01,
     semi_nu_schedule: StepSchedule | None = None,
     critic_warmup_episodes: int = 0,
 ) -> TrainResult:
-    """Episode loop shared by all variants.
+    """Episode loop shared by all variants, one episode a round of ``controller.run``.
 
     ``stack`` is ordered slow to fast: (zeta1 lambda, zeta2 theta,
     zeta3 nu, zeta4 critic). The alternative variant additionally needs
-    ``original_critic_features`` for its raw-process critic. Risk-neutral
-    mode freezes lambda and nu and starts every episode at budget 0; with
-    budget-blind features it reduces every variant to a plain actor-critic.
+    ``original_critic_features`` for its raw-process critic. A risk-neutral
+    ``controller`` freezes lambda and nu and starts every episode at budget 0;
+    with budget-blind features it reduces every variant to a plain actor-critic.
     ``semi_nu_schedule`` overrides the step size of the per-episode
     quantile update (zeta2 by default; zeta3 keeps it on the faster
     quantile timescale).
 
     The first ``critic_warmup_episodes`` episodes pretrain the critic
     under the initial policy: they freeze theta, nu and lambda, add no
-    history record, and the global step count restarts at 1 after them.
+    history record. The global step count restarts at 1 with the first
+    round, after the warmup and after each doubling of the cap.
     The weight vectors are free initialization inputs of the training
     loop; fitting them before any actor update keeps the early actor
     steps from chasing an uninformed critic.
@@ -217,6 +204,7 @@ def ac_train(
     if alternative and original_critic_features is None:
         raise InputError("alternative variant needs the raw-process critic features")
     per_episode = variant is AcVariant.SEMI_TRAJECTORY
+    risk_neutral = controller.risk_neutral
     gamma = risk.gamma
     theta = np.asarray(iterate0.theta, dtype=float).copy()
     nu = float(iterate0.nu)
@@ -226,7 +214,6 @@ def ac_train(
     if alternative:
         u0 = iterate0.u if iterate0.u is not None else np.zeros(original_critic_features.dim)
         u = np.asarray(u0, dtype=float).copy()
-    controller = CapController(risk.lambda_max, window, rel_tol, lambda_margin, risk_neutral)
     k_global = 1
 
     def episode(learn: bool) -> tuple[float, int, float]:
@@ -337,35 +324,19 @@ def ac_train(
 
     for _ in range(critic_warmup_episodes):
         episode(learn=False)
-    k_global = 1
 
-    history: list[dict] = []
-    converged = False
-    episode_idx = 0
-    while episode_idx < tuning_episodes and len(history) < episode_cap:
-        episode_idx += 1
+    def step(i: int) -> tuple[Iterate, dict]:
+        nonlocal nu, lam, k_global
+        if i == 1:
+            k_global = 1
         d_loss, interior_steps, s_terminal = episode(learn=True)
         if per_episode and not risk_neutral:
             nu, lam = semi_trajectory_updates(
                 nu, lam, s_terminal, interior_steps, risk,
-                semi_nu(episode_idx), zeta1(episode_idx), nu_box, controller.lam_box,
+                semi_nu(i), zeta1(i), nu_box, controller.lam_box,
             )
-        history.append({
-            "iter": len(history) + 1,
-            "nu": nu,
-            "lambda": lam,
-            "theta_norm": float(np.linalg.norm(theta)),
-            "mean_batch_loss": d_loss,
-            "episode_steps": interior_steps,
-            "v_norm": float(np.linalg.norm(v)),
-        })
-        decision = controller.observe(theta, nu, lam)
-        if decision is Decision.ACCEPT:
-            converged = True
-            break
-        if decision is Decision.DOUBLE:
-            episode_idx = 0
-            k_global = 1
+        return Iterate(theta, nu, lam, v, u), {"mean_batch_loss": d_loss,
+                                               "episode_steps": interior_steps,
+                                               "v_norm": float(np.linalg.norm(v))}
 
-    iterate = AcIterate(theta, nu, lam, v, u)
-    return TrainResult(iterate, converged, controller.lambda_max, controller.doublings, history)
+    return controller.run(step, Iterate(theta, nu, lam, v, u), tuning_episodes, episode_cap)

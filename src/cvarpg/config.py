@@ -114,11 +114,13 @@ class ExperimentConfig:
                 self.ac_stack()
         except Exception as exc:  # schedule/env validation reuses InputError
             raise ConfigError(str(exc)) from exc
-        for name in ("pg_batch_size", "pg_tuning_iterations", "ac_tuning_episodes",
-                     "eval_episodes", "train_warmup_rollouts", "output_histogram_bins",
-                     "train_window"):
+        for name in ("pg_batch_size", "pg_tuning_iterations", "pg_iteration_cap",
+                     "ac_tuning_episodes", "ac_episode_cap", "eval_episodes",
+                     "train_warmup_rollouts", "output_histogram_bins", "train_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.ac_critic_warmup_episodes < 0:
+            raise ConfigError("ac_critic_warmup_episodes must be >= 0")
         if not self.features_s_min < self.features_s_max:
             raise ConfigError("features.s_min must be below features.s_max")
         if self.ac_semi_nu_schedule not in ("zeta2", "zeta3"):

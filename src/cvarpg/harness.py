@@ -15,7 +15,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .ac import AcIterate, AcVariant, ac_train
+from .ac import AcVariant, ac_train
 from .config import ExperimentConfig, algorithm_spec, config_from_mapping
 from .errors import InputError
 from .optstop import (
@@ -25,8 +25,9 @@ from .optstop import (
     rollout_batch,
     rollout_batch_augmented,
 )
-from .pg import SaddleIterate, pg_train
+from .pg import pg_train
 from .risk import EmpiricalDistribution, cvar, tail_probability, value_at_risk
+from .schedules import CapController, Iterate
 from .seeding import substream
 
 @dataclass
@@ -107,10 +108,11 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
     env = OptStopEnv(config.env_params())
     nu0 = 0.0 if risk_neutral else warmup_quantile(config, seed, risk.alpha)
     lam0 = 0.0 if risk_neutral else 1.0
+    controller = CapController(risk.lambda_max, config.train_window, config.train_rel_tol,
+                               config.train_lambda_margin, risk_neutral)
 
     if spec.ac_variant is None:
         feats = policy_feature_map(config, include_s=False)
-        theta0 = np.zeros(feats.dim)
         n = config.pg_batch_size
 
         def sampler(theta, round_idx, iter_idx):
@@ -120,22 +122,18 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         stack = config.pg_stack()
         result = pg_train(
             sampler,
-            SaddleIterate(theta0, nu0, lam0),
+            Iterate(np.zeros(feats.dim), nu0, lam0),
             risk,
             tuple(stack.slow_to_fast),
             config.theta_box(),
             config.nu_box(),
             config.pg_tuning_iterations,
             config.pg_iteration_cap,
-            window=config.train_window,
-            rel_tol=config.train_rel_tol,
-            lambda_margin=config.train_lambda_margin,
-            risk_neutral=risk_neutral,
+            controller,
         )
     else:
         feats = policy_feature_map(config, include_s=spec.budget_aware, incremental=True)
         cfeats = critic_feature_map(config, include_s=spec.budget_aware)
-        theta0 = np.zeros(feats.dim)
         stack = config.ac_stack()
         orig_cfeats = None
         if spec.ac_variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
@@ -144,7 +142,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             env,
             feats,
             cfeats,
-            AcIterate(theta0, nu0, lam0, np.zeros(cfeats.dim)),
+            Iterate(np.zeros(feats.dim), nu0, lam0, np.zeros(cfeats.dim)),
             risk,
             tuple(stack.slow_to_fast),
             stack.perturbation,
@@ -154,12 +152,9 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             spec.ac_variant,
             config.ac_tuning_episodes,
             config.ac_episode_cap,
+            controller,
             horizon_cap=config.env_T + 2,
             original_critic_features=orig_cfeats,
-            risk_neutral=risk_neutral,
-            window=config.train_window,
-            rel_tol=config.train_rel_tol,
-            lambda_margin=config.train_lambda_margin,
             semi_nu_schedule=(
                 stack.slow_to_fast[2] if config.ac_semi_nu_schedule == "zeta3" else None
             ),
@@ -167,8 +162,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         )
 
     it = result.iterate
-    v, u = (it.v, it.u) if isinstance(it, AcIterate) else (None, None)
-    return TrainedPolicy(config.algorithm, it.theta, it.nu, it.lam, v, u, result.converged,
+    return TrainedPolicy(config.algorithm, it.theta, it.nu, it.lam, it.v, it.u, result.converged,
                          result.lambda_max, result.doublings, result.history)
 
 

@@ -250,7 +250,6 @@ class BatchRollouts:
     losses: np.ndarray       # raw discounted environment loss D per episode
     scores: np.ndarray       # likelihood-ratio score per episode; (n, 0) if skipped
     lengths: np.ndarray      # decision steps until termination
-    final_budgets: np.ndarray | None = None  # s at the terminal state, augmented runs
 
 
 def _rollout(
@@ -279,7 +278,6 @@ def _rollout(
     idx = np.arange(n)       # alive episodes
     c = np.full(n, p.c0)     # their costs
     s = s0                   # their shared budget
-    final_s = None if s0 is None else np.zeros(n)
     losses = np.zeros(n)
     scores = np.zeros((n, theta.size if with_scores else 0))
     lengths = np.zeros(n, dtype=np.int64)
@@ -298,8 +296,6 @@ def _rollout(
             accepted = np.ones(idx.size, dtype=bool)
         acc_idx = idx[accepted]
         losses[acc_idx] += disc * c[accepted]
-        if s is not None:
-            final_s[acc_idx] = (s - c[accepted]) / p.gamma
         lengths[acc_idx] = k + 1
         waiting = ~accepted
         idx, c = idx[waiting], c[waiting]
@@ -310,7 +306,7 @@ def _rollout(
             s = (s - p.p_h) / p.gamma
         c *= np.where(u[idx, 2 * k + 1] < p.p, p.f_u, p.f_d)
         disc *= p.gamma
-    return BatchRollouts(losses, scores, lengths, final_s)
+    return BatchRollouts(losses, scores, lengths)
 
 
 def rollout_batch(
@@ -342,9 +338,8 @@ def rollout_batch_augmented(
 ) -> BatchRollouts:
     """Vectorized episodes of the budget-augmented environment.
 
-    Losses reported are the raw environment losses D (the terminal
-    penalty is a deterministic function of the final budget, returned
-    separately). ``with_scores`` is as in ``rollout_batch``.
+    Losses reported are the raw environment losses D, without the terminal
+    penalty. ``with_scores`` is as in ``rollout_batch``.
     """
     return _rollout(env, feats, theta, float(s0), seed, path, n, with_scores)
 

@@ -4,8 +4,9 @@ Each iteration draws a batch of episodes under the current policy and
 nudges three coupled iterates on separated timescales: the quantile
 estimate nu (fastest), the policy parameters theta (intermediate), and
 the Lagrange multiplier lambda (slowest), each projected back into its
-admissible set. A controller watches the multiplier: if it pins to its
-cap, the cap doubles and the schedule restarts with parameters retained.
+admissible set. One iteration is one round of ``CapController.run``: if
+the multiplier pins to its cap, the cap doubles and the schedule
+restarts with parameters retained.
 """
 from __future__ import annotations
 
@@ -15,17 +16,9 @@ import numpy as np
 
 from .errors import InputError
 from .risk import RiskSpec
-from .schedules import Box, CapController, Decision, StepSchedule, TrainResult
+from .schedules import Box, CapController, Iterate, StepSchedule, TrainResult
 
-__all__ = ["SaddleIterate", "GradientEstimate", "estimate_batch_gradients",
-           "pg_iteration", "pg_train"]
-
-
-@dataclass(frozen=True)
-class SaddleIterate:
-    theta: np.ndarray
-    nu: float
-    lam: float
+__all__ = ["GradientEstimate", "estimate_batch_gradients", "pg_iteration", "pg_train"]
 
 
 @dataclass(frozen=True)
@@ -66,13 +59,13 @@ def estimate_batch_gradients(
 
 
 def pg_iteration(
-    iterate: SaddleIterate,
+    iterate: Iterate,
     grads: GradientEstimate,
     i: int,
     schedules: tuple[StepSchedule, StepSchedule, StepSchedule],
     boxes: tuple[Box, Box, Box],
     risk_neutral: bool = False,
-) -> SaddleIterate:
+) -> Iterate:
     """One projected update of (nu, theta, lambda) from a shared batch.
 
     ``schedules``/``boxes`` are ordered slow to fast: (lambda, theta, nu).
@@ -82,58 +75,40 @@ def pg_iteration(
     box_lam, box_theta, box_nu = boxes
     theta = box_theta.project(iterate.theta - zeta_theta(i) * grads.g_theta)
     if risk_neutral:
-        return SaddleIterate(theta, iterate.nu, iterate.lam)
+        return Iterate(theta, iterate.nu, iterate.lam)
     nu = float(box_nu.project(iterate.nu - zeta_nu(i) * grads.g_nu))
     lam = float(box_lam.project(iterate.lam + zeta_lam(i) * grads.g_lambda))
-    return SaddleIterate(theta, nu, lam)
+    return Iterate(theta, nu, lam)
 
 
 def pg_train(
     sampler,
-    iterate0: SaddleIterate,
+    iterate0: Iterate,
     risk: RiskSpec,
     schedules: tuple[StepSchedule, StepSchedule, StepSchedule],
     theta_box: Box,
     nu_box: Box,
     tuning_iterations: int,
     iteration_cap: int,
-    window: int = 50,
-    rel_tol: float = 1e-4,
-    lambda_margin: float = 0.01,
-    risk_neutral: bool = False,
+    controller: CapController,
 ) -> TrainResult:
     """Run batched saddle-point iterations until accepted or out of budget.
 
     ``sampler(theta, round_idx, iter_idx)`` returns (losses, scores) for a
-    fresh batch. Each doubling of the multiplier cap restarts the inner
-    schedule index while keeping the current iterate.
+    fresh batch. Each iteration is one round of ``controller.run``; a
+    doubling of the multiplier cap restarts the schedule index while
+    keeping the current iterate.
     """
-    controller = CapController(risk.lambda_max, window, rel_tol, lambda_margin, risk_neutral)
     iterate = iterate0
-    history: list[dict] = []
-    converged = False
-    i = 0
-    while i < tuning_iterations and len(history) < iteration_cap:
-        i += 1
+
+    def step(i: int) -> tuple[Iterate, dict]:
+        nonlocal iterate
         losses, scores = sampler(iterate.theta, controller.doublings, i)
         grads = estimate_batch_gradients(losses, scores, iterate.nu, iterate.lam, risk)
-        iterate = pg_iteration(
-            iterate, grads, i, schedules, (controller.lam_box, theta_box, nu_box), risk_neutral
-        )
-        history.append({
-            "iter": len(history) + 1,
-            "nu": iterate.nu,
-            "lambda": iterate.lam,
-            "theta_norm": float(np.linalg.norm(iterate.theta)),
-            "mean_batch_loss": float(np.mean(losses)),
-            "g_theta_norm": float(np.linalg.norm(grads.g_theta)),
-            "g_nu": grads.g_nu,
-            "g_lambda": grads.g_lambda,
-        })
-        decision = controller.observe(iterate.theta, iterate.nu, iterate.lam)
-        if decision is Decision.ACCEPT:
-            converged = True
-            break
-        if decision is Decision.DOUBLE:
-            i = 0
-    return TrainResult(iterate, converged, controller.lambda_max, controller.doublings, history)
+        iterate = pg_iteration(iterate, grads, i, schedules,
+                               (controller.lam_box, theta_box, nu_box), controller.risk_neutral)
+        return iterate, {"mean_batch_loss": float(np.mean(losses)),
+                         "g_theta_norm": float(np.linalg.norm(grads.g_theta)),
+                         "g_nu": grads.g_nu, "g_lambda": grads.g_lambda}
+
+    return controller.run(step, iterate0, tuning_iterations, iteration_cap)

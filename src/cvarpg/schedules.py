@@ -158,18 +158,29 @@ def lambda_max_controller(
     return Decision.CONTINUE
 
 
+@dataclass(frozen=True)
+class Iterate:
+    """Saddle iterate (theta, nu, lambda); the actor-critics add critic weights v and u."""
+
+    theta: np.ndarray
+    nu: float
+    lam: float
+    v: np.ndarray | None = None
+    u: np.ndarray | None = None
+
+
 class CapController:
-    """The multiplier-cap policy of one training run, fed one iterate at a time.
+    """The multiplier-cap policy of one training run, and the loop of its rounds.
 
     Both learners descend in (theta, nu) and ascend in lambda, projected
-    by ``lam_box`` into [0, lambda_max]. After each update the learner
-    passes its iterate to ``observe``, which keeps the histories of the
-    current round, tests whether the parameters have settled over the
-    trailing window and asks ``lambda_max_controller`` for a decision. On
-    DOUBLE it rebuilds ``lam_box`` with twice the cap and starts a fresh
-    round, and the learner restarts its schedule index. A risk-neutral run
-    keeps lambda at zero, so it never doubles and is accepted as soon as
-    its parameters settle.
+    by ``lam_box`` into [0, lambda_max]. ``run`` calls the learner's step
+    once per round and passes each new iterate to ``observe``, which keeps
+    the histories of the current cap, tests whether the parameters have
+    settled over the trailing window and asks ``lambda_max_controller`` for
+    a decision. On DOUBLE it rebuilds ``lam_box`` with twice the cap and
+    starts afresh, and ``run`` restarts the step index at 1. A risk-neutral
+    run keeps lambda at zero, so it never doubles and is accepted as soon
+    as its parameters settle. The harness builds one controller per run.
     """
 
     def __init__(self, lambda_max: float, window: int = 50, rel_tol: float = 1e-4,
@@ -206,6 +217,30 @@ class CapController:
             self._param_history.clear()
         return decision
 
+    def run(self, step, iterate0: Iterate, tuning: int, cap: int) -> TrainResult:
+        """Run rounds until ACCEPT, ``tuning`` rounds under one cap, or ``cap`` rounds in all.
+
+        ``step(i)`` runs round i, counted from 1 under the current cap, and
+        returns the new iterate and the learner's own history fields. With
+        no round run, the result holds ``iterate0``.
+        """
+        iterate = iterate0
+        history: list[dict] = []
+        converged = False
+        i = 0
+        while i < tuning and len(history) < cap:
+            i += 1
+            iterate, record = step(i)
+            history.append({"iter": len(history) + 1, "nu": iterate.nu, "lambda": iterate.lam,
+                            "theta_norm": float(np.linalg.norm(iterate.theta)), **record})
+            decision = self.observe(iterate.theta, iterate.nu, iterate.lam)
+            if decision is Decision.ACCEPT:
+                converged = True
+                break
+            if decision is Decision.DOUBLE:
+                i = 0
+        return TrainResult(iterate, converged, self.lambda_max, self.doublings, history)
+
 
 @dataclass
 class TrainResult:
@@ -215,7 +250,7 @@ class TrainResult:
     ``doublings`` are the cap controller's at the end of the run.
     """
 
-    iterate: object
+    iterate: Iterate
     converged: bool
     lambda_max: float
     doublings: int

@@ -366,9 +366,6 @@ class Transition:
     phi: np.ndarray
     phi_next: np.ndarray
     cost: float
-    state: object = None
-    next_state: object = None
-    done: bool = False
 
 
 class LstdSystem:
@@ -426,9 +423,7 @@ class FiniteAugmentedChain:
     """Markov chain over the reachable augmented states under a fixed policy.
 
     Rows of P for penalty (terminal) states are zero: the process leaves
-    into the zero-valued sink. ``snap`` optionally quantizes the budget
-    coordinate after every transition, which turns a continuous-budget
-    process into a finite instance.
+    into the zero-valued sink.
     """
 
     def __init__(self, states, index, P, cost, start_index):
@@ -456,14 +451,11 @@ def build_chain(
     feature_map,
     theta: np.ndarray,
     s0_values,
-    snap=None,
     max_states: int = 2000,
 ) -> FiniteAugmentedChain:
     """Reachable closure of the augmented process from the given budgets."""
     theta = np.asarray(theta, dtype=float)
     starts = [AugState(aug.env.initial_state(), float(s0)) for s0 in np.atleast_1d(s0_values)]
-    if snap is not None:
-        starts = [AugState(st.env_state, snap(st.s)) for st in starts]
     index: dict = {}
     states: list[AugState] = []
     edges: list[dict[int, float]] = []
@@ -499,8 +491,6 @@ def build_chain(
                 exp_cost += w * cost
                 if done:
                     continue  # absorbed into the sink
-                if snap is not None:
-                    nxt = AugState(nxt.env_state, snap(nxt.s), nxt.at_terminal)
                 j = intern(nxt)
                 edges[i][j] = edges[i].get(j, 0.0) + w
                 if j not in seen:
@@ -583,10 +573,10 @@ def sample_occupation_transitions(
             st = aug.step_full(state, draw(state), rng)
             state, done = st.next_state, st.done
         if done:
-            out.append(Transition(zero, zero, 0.0, done=True))
+            out.append(Transition(zero, zero, 0.0))
             continue
         st = aug.step_full(state, draw(state), rng)
         phi = critic_features(state)
         phi_next = critic_features(st.next_state) if not st.done else zero
-        out.append(Transition(phi, phi_next, st.cost, state, st.next_state, st.done))
+        out.append(Transition(phi, phi_next, st.cost))
     return out

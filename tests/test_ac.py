@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cvarpg.ac import (
-    AcIterate,
     AcVariant,
     ac_lambda_update_alternative,
     ac_lambda_update_incremental,
@@ -17,7 +16,9 @@ from cvarpg.mdp import AugmentedCostMode, AugmentedEnv
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.schedules import (
     Box,
+    CapController,
     Decision,
+    Iterate,
     PerturbationSchedule,
     StepSchedule,
     lambda_max_controller,
@@ -247,7 +248,7 @@ def _run_ac(variant, episodes=12, freeze=False, theta_seed=3, nu0=1.5, lam0=1.0,
         fmap,
         cfeats,
         start if start is not None
-        else AcIterate(np.zeros(fmap.dim), nu0, lam0, np.zeros(cfeats.dim)),
+        else Iterate(np.zeros(fmap.dim), nu0, lam0, np.zeros(cfeats.dim)),
         risk,
         AC_STACK,
         DELTA,
@@ -257,10 +258,10 @@ def _run_ac(variant, episodes=12, freeze=False, theta_seed=3, nu0=1.5, lam0=1.0,
         variant,
         tuning_episodes=episodes,
         episode_cap=episodes,
+        # the default window keeps the run from stopping early
+        controller=CapController(risk.lambda_max, window=window, risk_neutral=freeze),
         horizon_cap=50,
         original_critic_features=raw,
-        risk_neutral=freeze,
-        window=window,  # the default keeps the run from stopping early
         semi_nu_schedule=semi_nu_schedule,
         critic_warmup_episodes=warmup,
     )
@@ -311,7 +312,7 @@ def test_semi_trajectory_updates_quantile_once_per_episode():
         env,
         OneActionFeatures(2, 1),
         cfeats,
-        AcIterate(np.zeros(2), 1.0, 1.0, np.zeros(cfeats.dim)),
+        Iterate(np.zeros(2), 1.0, 1.0, np.zeros(cfeats.dim)),
         risk,
         AC_STACK,
         DELTA,
@@ -321,8 +322,8 @@ def test_semi_trajectory_updates_quantile_once_per_episode():
         AcVariant.SEMI_TRAJECTORY,
         tuning_episodes=episodes,
         episode_cap=episodes,
+        controller=CapController(risk.lambda_max, window=10**6),
         horizon_cap=10,
-        window=10**6,
     )
     # replicate the per-episode recursions: D = 2 always, s0 = nu
     zeta1, zeta2 = AC_STACK[0], AC_STACK[1]
@@ -361,10 +362,10 @@ def test_alternative_variant_requires_second_critic():
     with pytest.raises(InputError):
         ac_train(
             env, fmap, _RawCritic(4),
-            AcIterate(np.zeros(fmap.dim), 1.0, 1.0, np.zeros(4)),
+            Iterate(np.zeros(fmap.dim), 1.0, 1.0, np.zeros(4)),
             risk, AC_STACK, DELTA, Box(-2.0, 2.0), Box(0.0, 6.0),
             substream(0, "alt"), AcVariant.ALTERNATIVE_TWO_CRITIC,
-            tuning_episodes=2, episode_cap=2,
+            tuning_episodes=2, episode_cap=2, controller=CapController(risk.lambda_max),
         )
 
 

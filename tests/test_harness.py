@@ -70,6 +70,10 @@ def test_parse_errors():
         config_from_mapping({"env.f_u": "0.5"})  # violates environment invariants
     with pytest.raises(ConfigError):
         config_from_mapping({"pg.zeta2_p": "0.3"})  # schedule exponent out of range
+    for key, value in (("pg.iteration_cap", "0"), ("ac.episode_cap", "0"),
+                       ("ac.critic_warmup_episodes", "-1")):
+        with pytest.raises(ConfigError):
+            config_from_mapping({key: value})
 
 
 def test_config_round_trip_via_dict():

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from cvarpg.errors import InputError
-from cvarpg.pg import (
-    GradientEstimate,
-    SaddleIterate,
-    estimate_batch_gradients,
-    pg_iteration,
-    pg_train,
-)
+from cvarpg.pg import GradientEstimate, estimate_batch_gradients, pg_iteration, pg_train
 from cvarpg.risk import RiskSpec
-from cvarpg.schedules import Box, StepSchedule
+from cvarpg.schedules import Box, CapController, Iterate, StepSchedule
 from cvarpg.seeding import substream
 from oracles import (
     FiniteMDP, TabularPolicyFeatures, enumerate_trajectories, enumerated_gradients,
@@ -48,7 +42,7 @@ def test_empty_batch_rejected():
 def test_iteration_projections():
     schedules = (StepSchedule(0.1, 1.0), StepSchedule(0.05, 0.8), StepSchedule(0.01, 0.55))
     boxes = (Box(0.0, 5.0), Box(-1.0, 1.0), Box(-10.0, 10.0))
-    it = SaddleIterate(np.array([0.5]), nu=1.0, lam=5.0)
+    it = Iterate(np.array([0.5]), nu=1.0, lam=5.0)
 
     zero = GradientEstimate(np.zeros(1), 0.0, 0.0)
     unchanged = pg_iteration(it, zero, 1, schedules, boxes)
@@ -66,7 +60,7 @@ def test_risk_neutral_iteration_is_plain_reinforce():
     rng = np.random.default_rng(1)
     losses = rng.uniform(0, 3, 8)
     scores = rng.normal(0, 1, (8, 2))
-    it = SaddleIterate(rng.normal(0, 1, 2), nu=0.7, lam=0.0)
+    it = Iterate(rng.normal(0, 1, 2), nu=0.7, lam=0.0)
     g = estimate_batch_gradients(losses, scores, it.nu, it.lam, RISK_HALF)
     out = pg_iteration(it, g, 3, schedules, boxes, risk_neutral=True)
     manual = it.theta - schedules[1](3) * (scores.T @ losses / 8)
@@ -190,14 +184,14 @@ def test_train_lambda_decays_when_constraint_is_slack():
     sampler = _sequential_sampler(env, fmap, 3, 24, 0.9)
     result = pg_train(
         sampler,
-        SaddleIterate(np.zeros(fmap.dim), nu=2.0, lam=1.0),
+        Iterate(np.zeros(fmap.dim), nu=2.0, lam=1.0),
         risk,
         schedules,
         Box(-60.0, 60.0),
         Box(-10.0, 10.0),
         tuning_iterations=150,
         iteration_cap=150,
-        window=30,
+        controller=CapController(risk.lambda_max, window=30),
     )
     lams = [rec["lambda"] for rec in result.history]
     assert lams[-1] < 0.25  # driven toward zero by the slack constraint
@@ -218,14 +212,14 @@ def test_train_doubles_cap_when_multiplier_pins():
     sampler = _sequential_sampler(env, fmap, 4, 16, 0.9)
     result = pg_train(
         sampler,
-        SaddleIterate(np.zeros(fmap.dim), nu=2.0, lam=1.0),
+        Iterate(np.zeros(fmap.dim), nu=2.0, lam=1.0),
         risk,
         schedules,
         Box(-60.0, 60.0),
         Box(-10.0, 10.0),
         tuning_iterations=400,
         iteration_cap=400,
-        window=20,
+        controller=CapController(risk.lambda_max, window=20),
     )
     assert result.doublings >= 1
     assert result.lambda_max > risk.lambda_max
@@ -238,14 +232,14 @@ def test_train_iterates_stay_inside_projection_sets(diamond, diamond_features):
     nu_box = Box(0.5, 2.5)
     result = pg_train(
         sampler,
-        SaddleIterate(np.zeros(diamond_features.dim), nu=1.0, lam=1.0),
+        Iterate(np.zeros(diamond_features.dim), nu=1.0, lam=1.0),
         risk,
         schedules,
         Box(-0.4, 0.4),
         nu_box,
         tuning_iterations=60,
         iteration_cap=60,
-        window=20,
+        controller=CapController(risk.lambda_max, window=20),
     )
     for rec in result.history:
         assert 0.5 - 1e-12 <= rec["nu"] <= 2.5 + 1e-12

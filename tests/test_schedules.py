@@ -8,6 +8,7 @@ from cvarpg.schedules import (
     Box,
     CapController,
     Decision,
+    Iterate,
     PerturbationSchedule,
     StepSchedule,
     TimescaleStack,
@@ -219,3 +220,40 @@ def test_cap_controller_risk_neutral_never_doubles():
     decisions = [controller.observe(theta, 0.0, 1.0) for _ in range(5)]
     assert decisions == [Decision.CONTINUE] * 4 + [Decision.ACCEPT]
     assert (controller.lambda_max, controller.doublings) == (1.0, 0)
+
+
+def test_cap_controller_run_restarts_rounds_after_a_double():
+    def learner():
+        # the multiplier sits at the cap until the first doubling, then settles below it
+        controller = CapController(2.0, window=3)
+        rounds, iterates = [], []
+
+        def step(i):
+            rounds.append(i)
+            iterates.append(Iterate(np.zeros(2), 1.0, 2.0 if controller.doublings == 0 else 3.0))
+            return iterates[-1], {"round": i}
+
+        return controller, step, rounds, iterates
+
+    start = Iterate(np.ones(2), 0.5, 1.0)
+    controller, step, rounds, iterates = learner()
+    result = controller.run(step, start, tuning=10, cap=100)
+    assert rounds == [1, 2, 3, 1, 2, 3]
+    assert result.converged and result.iterate is iterates[-1]
+    assert (result.lambda_max, result.doublings) == (4.0, 1)
+    assert result.history == [
+        {"iter": n, "nu": 1.0, "lambda": lam, "theta_norm": 0.0, "round": i}
+        for n, (lam, i) in enumerate(zip([2.0] * 3 + [3.0] * 3, rounds), start=1)
+    ]
+    # the cap counts rounds across doublings
+    controller, step, rounds, iterates = learner()
+    result = controller.run(step, start, tuning=10, cap=4)
+    assert rounds == [1, 2, 3, 1]
+    assert not result.converged and result.iterate is iterates[-1]
+    assert len(result.history) == 4
+    # with no round run, the start iterate comes back
+    for tuning, cap in ((0, 5), (5, 0)):
+        controller, step, rounds, _ = learner()
+        result = controller.run(step, start, tuning=tuning, cap=cap)
+        assert rounds == [] and result.history == []
+        assert result.iterate is start and not result.converged
