@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, InputError, SimulationError, SolverError
+from .errors import ConfigError, InputError, SimulationError
 from .harness import (
     build_report,
     compare,
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, SolverError, FloatingPointError) as exc:
+    except (SimulationError, FloatingPointError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,20 +2,19 @@
 
 One ``key = value`` pair per line, ``#`` starts a comment, dotted
 prefixes group sections (``env.T = 20``). Unknown keys are rejected so
-typos fail loudly.
+typos fail loudly; so are NaN and infinite floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
-
-import numpy as np
 
 from .ac import AcVariant
 from .errors import ConfigError
 from .optstop import OptStopParams
 from .risk import RiskSpec
-from .schedules import Box, PerturbationSchedule, StepSchedule, TimescaleStack, nu_interval
+from .schedules import Box, PerturbationSchedule, StepSchedule, TimescaleStack
 
 
 class Algorithm(NamedTuple):
@@ -158,12 +157,10 @@ class ExperimentConfig:
         return Box(-self.policy_theta_bound, self.policy_theta_bound)
 
     def nu_box(self) -> Box:
-        # intersect the generic +-c_max/(1-gamma) interval with the
-        # environment's attainable loss range; any loss quantile lives there
-        wide = nu_interval(self.env_c_max, self.env_gamma)
-        lo = max(float(np.asarray(wide.lo)), 0.0)
-        hi = min(float(np.asarray(wide.hi)), self.env_params().loss_upper_bound())
-        return Box(lo, hi)
+        # a loss sums nonnegative costs of at most c_max, discounted, and
+        # stays below the environment's envelope; so does any loss quantile
+        hi = min(self.env_c_max / (1.0 - self.env_gamma), self.env_params().loss_upper_bound())
+        return Box(0.0, hi)
 
     def s_range(self) -> tuple[float, float]:
         return (self.features_s_min, self.features_s_max)
@@ -226,6 +223,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
                 parsed = str(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}") from exc
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
         setattr(cfg, attr, parsed)
     return cfg.validate()
 

@@ -11,11 +11,3 @@ class ConfigError(ValueError):
 
 class SimulationError(RuntimeError):
     """An environment produced a non-finite cost or violated its contract."""
-
-
-class SolverError(RuntimeError):
-    """A linear system was singular or too ill-conditioned to solve."""
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition

@@ -69,7 +69,6 @@ class RbfGrid:
         self.width = width_scale * spacing
         # -d2 / (2 w^2) equals d2 / (-2 w^2) bit for bit: negation is exact
         self._neg_two_w2 = -(2.0 * self.width**2)
-        self.dims = dims
         self.n_features = self.centers.shape[0] + 1
 
     def __call__(self, z) -> np.ndarray:

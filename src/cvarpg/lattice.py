@@ -98,18 +98,12 @@ class StoppingLattice:
 
         One ``feats.per_action_batch`` call and one softmax over the
         T(T+1)/2 decision nodes. A policy that reads the budget is Markov
-        on the lattice too: the budget after k waits is
-        s_k = (s_{k-1} - p_h) / gamma from s0, whatever the moves.
+        on the lattice too: every node of step k has the budget
+        ``params.budgets(s0)[k]``, whatever the moves.
         """
-        p, T = self.params, self.params.T
+        T = self.params.T
         k, u = np.nonzero(self.valid[:T])
-        budget = None
-        if s0 is not None:
-            s = np.empty(T)
-            s[0] = s0
-            for i in range(1, T):
-                s[i] = (s[i - 1] - p.p_h) / p.gamma
-            budget = s[k]
+        budget = None if s0 is None else self.params.budgets(s0)[k]
         probs = action_probabilities(theta, feats.per_action_batch(self.cost[k, u], k, budget))
         rule = np.ones((T + 1, T + 1))
         rule[k, u] = probs[:, 0]

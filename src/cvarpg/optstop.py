@@ -8,7 +8,13 @@ f_d*c. All per-step costs are discounted by gamma^k in the episode loss.
 Besides the step API this module provides the feature maps, batched
 lockstep rollouts and the exact loss distribution of a fixed policy at
 any horizon, from the recombining cost lattice of
-``lattice.StoppingLattice``. The feature maps serve two kinds of caller.
+``lattice.StoppingLattice``. ``OptStopParams`` holds the geometry that
+all of them read: the cost envelope (``cost_range``) and the budget at
+each decision step (``budgets``). The policy and critic feature maps
+share one base, the same unit coordinates of a state and one RBF grid
+over them, and they featurize only the states their callers reach: the
+policy its decision states (k < T), the critic interior and terminal
+states. The feature maps serve two kinds of caller.
 A batched rollout (the hot path of the trajectory gradient and of
 evaluation) draws all of its episodes' uniforms in one vectorized pass
 (``seeding.substream_uniforms``) and, at each step, featurizes the
@@ -61,13 +67,29 @@ class OptStopParams:
         if self.T < 1 or self.c0 <= 0.0:
             raise InputError("need T >= 1 and c0 > 0")
 
+    def cost_range(self) -> tuple[float, float]:
+        """The envelope (c0 f_d^T, c0 f_u^T) of every cost the episode can reach."""
+        return self.c0 * self.f_d**self.T, self.c0 * self.f_u**self.T
+
+    def budgets(self, s0: float) -> np.ndarray:
+        """The budget at each of the T decision steps from s0, whatever the cost moves.
+
+        Only a wait leads on to the next decision, and a wait pays p_h, so
+        step k's budget is step k-1's less p_h, divided by gamma.
+        """
+        s = np.empty(self.T)
+        s[0] = s0
+        for k in range(1, self.T):
+            s[k] = (s[k - 1] - self.p_h) / self.gamma
+        return s
+
     def loss_upper_bound(self) -> float:
         """Analytic envelope on any episode loss (holding fees + worst accept)."""
         if self.gamma == 1.0:
             fees = self.p_h * self.T
         else:
             fees = self.p_h * (1.0 - self.gamma**self.T) / (1.0 - self.gamma)
-        return fees + self.c0 * self.f_u**self.T
+        return fees + self.cost_range()[1]
 
 
 @dataclass(frozen=True)
@@ -109,16 +131,44 @@ class OptStopEnv:
         ]
 
 
-class OptStopPolicyFeatures:
-    """Per-action RBF features over (log-scaled cost, elapsed fraction[, budget]).
+class _StateFeatures:
+    """What both feature maps read of a state: one grid over its unit coordinates.
 
-    Cost is normalized on log scale over its analytic envelope; the budget
-    coordinate, when present, is min-max normalized over a configured
-    range. Each action owns its own block of the feature vector. ``scale``
+    Cost is normalized on log scale over its envelope
+    (``OptStopParams.cost_range``), the step index k as the elapsed
+    fraction k / T, and the budget, when present, min-max over a configured
+    range. One RBF grid covers the unit cube of these coordinates.
+    """
+
+    def __init__(self, params: OptStopParams, centers_per_dim: int, include_s: bool,
+                 s_range: tuple[float, float], width_scale: float):
+        self.params = params
+        self.include_s = include_s
+        self.c_axis = AxisScale(*params.cost_range(), log=True)
+        self.s_axis = AxisScale(s_range[0], s_range[1])
+        self.rbf = RbfGrid(3 if include_s else 2, centers_per_dim, width_scale)
+
+    def _unit_inputs(self, c, k, s=None) -> list:
+        """Unit coordinates (cost, elapsed fraction[, budget]) of one state or of state arrays."""
+        cols = [self.c_axis.unit(c), k / self.params.T]
+        if self.include_s:
+            if s is None:
+                raise InputError("budget-aware features need the budget s")
+            cols.append(self.s_axis.unit(s))
+        return cols
+
+
+class OptStopPolicyFeatures(_StateFeatures):
+    """Per-action RBF features of a decision state, raw or augmented.
+
+    Each action owns its own block of the feature vector. ``scale``
     multiplies the whole vector; the policy class is invariant to it, but
     it sets the effective step size of likelihood-ratio updates, and the
     incremental algorithms need it well below one so the actor does not
-    outrun the critic early on.
+    outrun the critic early on. Only decision states (k < T) are
+    featurized: at the horizon acceptance is forced and the terminal state
+    has no action, so no caller draws an action there
+    (``OptStopEnv.n_actions``).
     """
 
     def __init__(
@@ -130,36 +180,16 @@ class OptStopPolicyFeatures:
         scale: float = 1.0,
         width_scale: float = 1.0,
     ):
-        self.params = params
-        self.include_s = include_s
+        super().__init__(params, centers_per_dim, include_s, s_range, width_scale)
         self.scale = float(scale)
-        lo = params.c0 * params.f_d**params.T
-        hi = params.c0 * params.f_u**params.T
-        self.c_axis = AxisScale(lo, hi, log=True)
-        self.s_axis = AxisScale(s_range[0], s_range[1])
-        dims = 3 if include_s else 2
-        self.rbf = RbfGrid(dims, centers_per_dim, width_scale)
         self.n_actions = 2
         self.dim = self.n_actions * self.rbf.n_features
 
-    def _unit_inputs(self, c, k, s=None) -> list:
-        """Unit coordinates (cost, elapsed fraction[, budget]) of one state or of state arrays."""
-        cols = [self.c_axis.unit(c), k / self.params.T]
-        if self.include_s:
-            if s is None:
-                raise InputError("budget-aware features need the budget s")
-            cols.append(self.s_axis.unit(s))
-        return cols
-
     def per_action(self, state) -> np.ndarray:
-        raw = not isinstance(state, AugState)
-        if not raw and state.at_terminal:
-            return np.zeros((1, self.dim))
-        env_state, s = (state, None) if raw else (state.env_state, state.s)
-        z = self._unit_inputs(env_state.c, env_state.k, s)
-        blocks = action_blocks(self.scale * self.rbf(z), self.n_actions)
-        # a raw state at the horizon has only the forced acceptance
-        return blocks[:1] if raw and env_state.k >= self.params.T else blocks
+        """Features of one decision state, (2, dim)."""
+        x, s = (state.env_state, state.s) if isinstance(state, AugState) else (state, None)
+        z = self._unit_inputs(x.c, x.k, s)
+        return action_blocks(self.scale * self.rbf(z), self.n_actions)
 
     def per_action_batch(self, c: np.ndarray, k, s: np.ndarray | None = None) -> np.ndarray:
         """Features of len(c) raw states, (m, 2, dim); k is one step index or one per state."""
@@ -171,21 +201,20 @@ class OptStopPolicyFeatures:
 BUDGET_KNOTS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 
 
-class OptStopCriticFeatures:
-    """Value-function features over the augmented state.
+class OptStopCriticFeatures(_StateFeatures):
+    """Value-function features of an augmented state, or of a raw one.
 
-    Interior states get an RBF grid over (log cost, elapsed fraction[,
-    budget]) plus a bias. With the budget included they also get one
-    hinge (knot - s/c)^+ per ``BUDGET_KNOTS``: the future penalty is kinked
-    where the budget meets the loss still to come, which scales with the
-    current cost c, and the RBF budget axis is far too coarse to resolve
-    that kink (the quantile's perturbed difference at the initial state
-    would read a flat critic). Terminal states get their own block
-    [1, s/scale, (-s)^+/scale] with the budget clamped to its configured
-    range, which keeps feature magnitudes near one (TD stability) while
-    representing the kinked terminal penalty exactly up to the clamp.
-    Interior and terminal blocks never overlap; the absorbing sink is all
-    zeros.
+    Interior states get the RBF grid plus a bias. With the budget included
+    they also get one hinge (knot - s/c)^+ per ``BUDGET_KNOTS``: the future
+    penalty is kinked where the budget meets the loss still to come, which
+    scales with the current cost c, and the RBF budget axis is far too
+    coarse to resolve that kink (the quantile's perturbed difference at the
+    initial state would read a flat critic). Terminal states get their own
+    block [1, s/scale, (-s)^+/scale] with the budget clamped to its
+    configured range, which keeps feature magnitudes near one (TD
+    stability) while representing the kinked terminal penalty exactly up to
+    the clamp. Interior and terminal blocks never overlap. The absorbing
+    sink after the terminal state is never featurized: its value is zero.
     """
 
     def __init__(
@@ -196,45 +225,28 @@ class OptStopCriticFeatures:
         s_range: tuple[float, float] = (-20.0, 20.0),
         width_scale: float = 1.0,
     ):
-        self.params = params
-        self.include_s = include_s
-        self.s_range = s_range
-        lo = params.c0 * params.f_d**params.T
-        hi = params.c0 * params.f_u**params.T
-        self.c_axis = AxisScale(lo, hi, log=True)
-        self.s_axis = AxisScale(s_range[0], s_range[1])
-        self.rbf = RbfGrid(3 if include_s else 2, centers_per_dim, width_scale)
+        super().__init__(params, centers_per_dim, include_s, s_range, width_scale)
         self.s_scale = max(abs(s_range[0]), abs(s_range[1]))
         self.knots = np.array(BUDGET_KNOTS if include_s else ())
         self.n_interior = self.rbf.n_features + self.knots.size
         self.dim = self.n_interior + 3
         self._x0 = OptStopState(params.c0, 0)
 
-    def __call__(self, state: AugState | OptStopState | None) -> np.ndarray:
-        """Features of an augmented state, of the sink (None) or of a raw state.
-
-        A raw environment state is interior and carries no budget.
-        """
+    def __call__(self, state: AugState | OptStopState) -> np.ndarray:
+        """Features of an augmented state or of a raw one, which is interior and has no budget."""
         out = np.zeros(self.dim)
-        if state is None:
-            return out
-        if isinstance(state, OptStopState):
-            if self.include_s:
-                raise InputError("budget-aware critic features need an augmented state")
-            state = AugState(state, 0.0)
         nb, ni = self.rbf.n_features, self.n_interior
-        if state.at_terminal:
+        if isinstance(state, AugState) and state.at_terminal:
             if self.include_s:
-                s = clamp(state.s, *self.s_range)
+                s = clamp(state.s, self.s_axis.lo, self.s_axis.hi)
                 out[ni:] = (1.0, s / self.s_scale, max(-s, 0.0) / self.s_scale)
             else:
                 out[ni] = 1.0
             return out
-        c, k = state.env_state.c, state.env_state.k
-        z = [self.c_axis.unit(c), k / self.params.T]
+        x, s = (state.env_state, state.s) if isinstance(state, AugState) else (state, None)
+        z = self._unit_inputs(x.c, x.k, s)
         if self.include_s:
-            z.append(self.s_axis.unit(state.s))
-            np.maximum(self.knots - state.s / c, 0.0, out=out[nb:ni])
+            np.maximum(self.knots - s / x.c, 0.0, out=out[nb:ni])
         out[:nb] = self.rbf(z)
         return out
 
@@ -268,16 +280,17 @@ def _rollout(
     position 2k for its step-k action and 2k+1 for the cost move, the order
     of the sequential rollout, so batched and per-episode simulation agree
     bit for bit. Every alive episode has waited at each earlier step, so
-    all share one budget. At each step the policy is featurized, and its
-    softmax and scores computed, once per distinct cost among the alive
-    episodes; each episode then draws its own action.
+    all share step k's budget, ``OptStopParams.budgets(s0)[k]``. At each
+    step the policy is featurized, and its softmax and scores computed,
+    once per distinct cost among the alive episodes; each episode then
+    draws its own action.
     """
     p = env.params
     theta = np.asarray(theta, dtype=float)
     u = substream_uniforms(seed, path, n, 2 * p.T)
     idx = np.arange(n)       # alive episodes
     c = np.full(n, p.c0)     # their costs
-    s = s0                   # their shared budget
+    s = p.budgets(s0) if s0 is not None and feats.include_s else None  # their budget per step
     losses = np.zeros(n)
     scores = np.zeros((n, theta.size if with_scores else 0))
     lengths = np.zeros(n, dtype=np.int64)
@@ -285,7 +298,7 @@ def _rollout(
     for k in range(p.T + 1):
         if k < p.T:
             costs, inv = np.unique(c, return_inverse=True)
-            budget = np.full(costs.size, s) if s is not None and feats.include_s else None
+            budget = None if s is None else np.full(costs.size, s[k])
             fa = feats.per_action_batch(costs, k, budget)  # (distinct, 2, dim)
             probs = action_probabilities(theta, fa)
             act = sample_action(probs[inv], u[idx, 2 * k])
@@ -302,8 +315,6 @@ def _rollout(
         if idx.size == 0:
             break
         losses[idx] += disc * p.p_h
-        if s is not None:
-            s = (s - p.p_h) / p.gamma
         c *= np.where(u[idx, 2 * k + 1] < p.p, p.f_u, p.f_d)
         disc *= p.gamma
     return BatchRollouts(losses, scores, lengths)

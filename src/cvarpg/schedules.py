@@ -101,12 +101,6 @@ class Box:
         return np.clip(x, self.lo, self.hi)
 
 
-def nu_interval(c_max: float, gamma: float) -> Box:
-    """Admissible interval for the quantile iterate, +-c_max/(1-gamma)."""
-    bound = c_max / (1.0 - gamma)
-    return Box(-bound, bound)
-
-
 class Decision(Enum):
     CONTINUE = "continue"
     DOUBLE = "double"

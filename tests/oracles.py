@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cvarpg.errors import InputError, SimulationError, SolverError
+from cvarpg.errors import InputError, SimulationError
 from cvarpg.features import action_blocks
 from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import AugmentedEnv, AugState
@@ -31,6 +31,14 @@ from cvarpg.optstop import OptStopParams
 from cvarpg.pg import GradientEstimate, estimate_batch_gradients
 from cvarpg.policy import action_probabilities, grad_log_prob, sample_action
 from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
+
+
+class SolverError(RuntimeError):
+    """A linear system was singular or too ill-conditioned to solve."""
+
+    def __init__(self, message: str, condition: float | None = None):
+        super().__init__(message)
+        self.condition = condition
 
 
 @dataclass

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from cvarpg.ac import td_step
-from cvarpg.errors import InputError, SolverError
+from cvarpg.errors import InputError
 from cvarpg.mdp import AugmentedCostMode, AugmentedEnv
 from cvarpg.risk import RiskSpec
 from cvarpg.schedules import StepSchedule
 from cvarpg.seeding import substream
 from oracles import (
-    ChainFeatures, LstdSystem, TabularPolicyFeatures, Transition, accumulate_lstd, build_chain,
-    enumerate_trajectories, exact_lstd_system, lstd_solve, make_diamond_mdp,
+    ChainFeatures, LstdSystem, SolverError, TabularPolicyFeatures, Transition, accumulate_lstd,
+    build_chain, enumerate_trajectories, exact_lstd_system, lstd_solve, make_diamond_mdp,
     occupation_measure, sample_occupation_transitions, value_iteration,
 )
 

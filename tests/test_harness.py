@@ -74,6 +74,12 @@ def test_parse_errors():
                        ("ac.critic_warmup_episodes", "-1")):
         with pytest.raises(ConfigError):
             config_from_mapping({key: value})
+    # non-finite floats are refused by name, from text and from params.json's floats
+    for key, value in (("env.c_max", "nan"), ("policy.theta_bound", "NaN"), ("env.f_u", "inf"),
+                       ("features.rbf_width_scale", "nan"), ("risk.lambda_max", "inf"),
+                       ("env.p_h", "-inf"), ("risk.beta", float("nan"))):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: value})
 
 
 def test_config_round_trip_via_dict():

@@ -362,11 +362,41 @@ def test_policy_features_shapes_and_scale():
     fa = feats.per_action(OptStopState(1.0, 0))
     assert fa.shape == (2, feats.dim)
     assert feats.dim == 2 * (3**2 + 1)
-    # forced states expose a single action
-    assert feats.per_action(OptStopState(1.0, PAPER.T)).shape[0] == 1
     batch = feats.per_action_batch(np.array([1.0, 2.0]), 3)
     assert batch.shape == (2, 2, feats.dim)
     assert np.array_equal(batch[0, 0], feats.per_action(OptStopState(1.0, 3))[0])
+
+
+def test_budgets_are_the_augmented_env_budgets():
+    # the budget path the kernel and the lattice read is the one the
+    # augmented process carries after k waits, bit for bit
+    params = OptStopParams(p_h=0.03, gamma=0.9)
+    risk = RiskSpec(0.9, 1.9, 100.0, params.gamma)
+    rng = np.random.default_rng(3)
+    for s0 in (1.7, -2.25, 0.0, 13.0):
+        aug = AugmentedEnv(OptStopEnv(params), 0.0, risk, AugmentedCostMode.STANDARD, s0=s0)
+        budgets = params.budgets(s0)
+        assert budgets.shape == (params.T,)
+        state = aug.initial_state()
+        for k in range(params.T):
+            assert _same_bits(budgets[k], state.s)
+            state = aug.step(state, WAIT, rng)[0]
+
+
+def test_policy_and_critic_share_one_grid():
+    # equal centres and width: the unscaled accept block is the critic's RBF block
+    params = OptStopParams(p_h=0.01, f_d=0.7, p=0.4)
+    policy = OptStopPolicyFeatures(params, centers_per_dim=3, include_s=True, s_range=(-5.0, 9.0),
+                                   scale=1.0, width_scale=0.7)
+    critic = OptStopCriticFeatures(params, centers_per_dim=3, include_s=True, s_range=(-5.0, 9.0),
+                                   width_scale=0.7)
+    nb = critic.rbf.n_features
+    rng = np.random.default_rng(9)
+    costs = np.exp(rng.uniform(-8.0, 9.0, 50))  # beyond both ends of the cost envelope
+    steps, budgets = rng.integers(0, params.T, 50), rng.uniform(-8.0, 12.0, 50)
+    for c, k, s in zip(costs.tolist(), steps.tolist(), budgets.tolist()):
+        state = AugState(OptStopState(c, k), s)
+        assert _same_bits(policy.per_action(state)[ACCEPT, :nb], critic(state)[:nb])
 
 
 def test_critic_features_blocks():
@@ -380,7 +410,6 @@ def test_critic_features_blocks():
     term = cf(AugState(None, -4.0, at_terminal=True))
     assert np.all(term[: cf.n_interior] == 0.0)  # interior block empty
     assert term[cf.n_interior:] == pytest.approx([1.0, -0.4, 0.4])
-    assert np.all(cf(None) == 0.0)  # sink
     # the terminal budget clamps to the configured range
     clamped = cf(AugState(None, -50.0, at_terminal=True))
     assert clamped[cf.n_interior + 2] == pytest.approx(1.0)
@@ -410,12 +439,12 @@ def test_one_state_featurizers_equal_the_batch_path():
     assert costs.min() < aware.c_axis.lo and np.abs(budgets).max() > 20.0
     assert (steps == params.T).any()
     for c, k, s in zip(costs.tolist(), steps.tolist(), budgets.tolist()):
-        one = aware.per_action(AugState(OptStopState(c, k), s))
-        assert np.array_equal(one, aware.per_action_batch(np.array([c]), k, np.array([s]))[0])
-        raw = blind.per_action(OptStopState(c, k))
-        batch = blind.per_action_batch(np.array([c]), k)[0]
-        # a raw state at the horizon keeps only the forced acceptance
-        assert np.array_equal(raw, batch[:1] if k == params.T else batch)
+        # the policy sees decision states only; the critic also the horizon's
+        if k < params.T:
+            one = aware.per_action(AugState(OptStopState(c, k), s))
+            assert np.array_equal(one, aware.per_action_batch(np.array([c]), k, np.array([s]))[0])
+            raw = blind.per_action(OptStopState(c, k))
+            assert np.array_equal(raw, blind.per_action_batch(np.array([c]), k)[0])
         z = np.stack([critic.c_axis.unit(np.array([c])), np.array([k / params.T]),
                       critic.s_axis.unit(np.array([s]))], axis=1)
         phi = critic(AugState(OptStopState(c, k), s))

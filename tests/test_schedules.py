@@ -13,7 +13,6 @@ from cvarpg.schedules import (
     StepSchedule,
     TimescaleStack,
     lambda_max_controller,
-    nu_interval,
     relative_change,
 )
 
@@ -108,12 +107,6 @@ def test_projection_idempotent_and_nonexpansive():
         px = box.project(x)
         assert np.array_equal(box.project(px), px)
         assert np.linalg.norm(px - y) <= np.linalg.norm(x - y) + 1e-12
-
-
-def test_nu_interval():
-    box = nu_interval(4000.0, 0.95)
-    assert box.lo == pytest.approx(-80000.0)
-    assert box.hi == pytest.approx(80000.0)
 
 
 def test_controller_double_when_pinned():
