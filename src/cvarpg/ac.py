@@ -152,10 +152,9 @@ def semi_trajectory_updates(
     episode whose loss reached the quantile.
     """
     g_nu = lam - (lam / (1.0 - risk.alpha)) * (1.0 if s_terminal <= 0.0 else 0.0)
-    new_nu = float(nu_box.project(nu - step_nu * g_nu))
-    excess = risk.gamma**n_steps * max(-s_terminal, 0.0) / (1.0 - risk.alpha)
-    new_lam = float(lam_box.project(lam + step_lam * (nu - risk.beta + excess)))
-    return new_nu, new_lam
+    return (spsa_nu_update(nu, g_nu, step_nu, nu_box),
+            ac_lambda_update_incremental(lam, nu, risk, risk.gamma**n_steps, s_terminal,
+                                         step_lam, lam_box))
 
 
 def ac_train(

@@ -19,14 +19,12 @@ import numpy as np
 from .config import load_config
 from .errors import ConfigError, InputError, SimulationError
 from .harness import (
-    build_report,
     compare,
-    evaluate_policy,
+    evaluate_and_write,
     load_params,
     policy_feature_map,
     report_from_text,
     run_experiment,
-    write_artifacts,
 )
 from .optstop import enumerate_loss_distribution
 from .risk import cvar, tail_probability
@@ -71,12 +69,9 @@ def _cmd_train(args) -> int:
     if args.algorithm is not None:
         config.algorithm = args.algorithm
         config.validate()
-    report, trained, _, _ = run_experiment(
+    report, _, _, _ = run_experiment(
         config, args.seed, out_dir=args.out, eval_episodes=args.eval_episodes
     )
-    print(f"wrote artifacts to {args.out}")
-    print(f"mean={report.mean:.6f} variance={report.variance:.6f} "
-          f"cvar={report.cvar_alpha:.6f} tail_prob={report.tail_prob_beta:.6f}")
     if not report.converged:
         print("warning: training did not meet the convergence test", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -85,13 +80,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config, trained = load_params(args.params)
-    episodes = args.eval_episodes if args.eval_episodes is not None else config.eval_episodes
-    losses, lengths = evaluate_policy(config, trained, args.seed, episodes)
-    report = build_report(config, trained, losses, args.seed)
-    write_artifacts(Path(args.out), config, trained, report, losses, lengths, args.seed)
-    print(f"wrote artifacts to {args.out}")
-    print(f"mean={report.mean:.6f} variance={report.variance:.6f} "
-          f"cvar={report.cvar_alpha:.6f} tail_prob={report.tail_prob_beta:.6f}")
+    evaluate_and_write(config, trained, args.seed, args.out, args.eval_episodes)
     return EXIT_OK
 
 

@@ -11,27 +11,31 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .ac import AcVariant
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .optstop import OptStopParams
 from .risk import RiskSpec
-from .schedules import Box, PerturbationSchedule, StepSchedule, TimescaleStack
+from .schedules import Box, PerturbationSchedule, StepSchedule, check_separation
 
 
 class Algorithm(NamedTuple):
-    """What an algorithm name selects: its learner, objective and policy inputs."""
+    """What an algorithm name selects: its learner and its objective."""
 
     ac_variant: AcVariant | None  # the actor-critic loop's variant; None: trajectory PG
     risk_neutral: bool            # nu and lambda stay frozen; the mean loss is the objective
-    budget_aware: bool            # policy and critic features read the budget s
+
+    @property
+    def budget_aware(self) -> bool:
+        """Features read the budget s: the risk-sensitive actor-critics only."""
+        return self.ac_variant is not None and not self.risk_neutral
 
 
 ALGORITHMS = {
-    "PG": Algorithm(None, True, False),
-    "PG_CVAR": Algorithm(None, False, False),
-    "AC": Algorithm(AcVariant.SPSA_INCREMENTAL, True, False),
-    "AC_CVAR_SPSA": Algorithm(AcVariant.SPSA_INCREMENTAL, False, True),
-    "AC_CVAR_SEMI": Algorithm(AcVariant.SEMI_TRAJECTORY, False, True),
-    "AC_CVAR_ALT": Algorithm(AcVariant.ALTERNATIVE_TWO_CRITIC, False, True),
+    "PG": Algorithm(None, True),
+    "PG_CVAR": Algorithm(None, False),
+    "AC": Algorithm(AcVariant.SPSA_INCREMENTAL, True),
+    "AC_CVAR_SPSA": Algorithm(AcVariant.SPSA_INCREMENTAL, False),
+    "AC_CVAR_SEMI": Algorithm(AcVariant.SEMI_TRAJECTORY, False),
+    "AC_CVAR_ALT": Algorithm(AcVariant.ALTERNATIVE_TWO_CRITIC, False),
 }
 
 
@@ -111,7 +115,7 @@ class ExperimentConfig:
                 self.pg_stack()
             else:
                 self.ac_stack()
-        except Exception as exc:  # schedule/env validation reuses InputError
+        except InputError as exc:  # env, risk and schedule checks, check_separation among them
             raise ConfigError(str(exc)) from exc
         for name in ("pg_batch_size", "pg_tuning_iterations", "pg_iteration_cap",
                      "ac_tuning_episodes", "ac_episode_cap", "eval_episodes",
@@ -135,23 +139,27 @@ class ExperimentConfig:
     def risk_spec(self) -> RiskSpec:
         return RiskSpec(self.risk_alpha, self.risk_beta, self.risk_lambda_max, self.env_gamma)
 
-    def pg_stack(self) -> TimescaleStack:
-        return TimescaleStack((
+    def pg_stack(self) -> tuple[StepSchedule, StepSchedule, StepSchedule]:
+        """PG's (zeta1 lambda, zeta2 theta, zeta3 nu), checked by ``check_separation``."""
+        zetas = (
             StepSchedule(self.pg_zeta1_c, self.pg_zeta1_p),
             StepSchedule(self.pg_zeta2_c, self.pg_zeta2_p),
             StepSchedule(self.pg_zeta3_c, self.pg_zeta3_p),
-        ))
-
-    def ac_stack(self) -> TimescaleStack:
-        return TimescaleStack(
-            (
-                StepSchedule(self.ac_zeta1_c, self.ac_zeta1_p),
-                StepSchedule(self.ac_zeta2_c, self.ac_zeta2_p),
-                StepSchedule(self.ac_zeta3_c, self.ac_zeta3_p),
-                StepSchedule(self.ac_zeta4_c, self.ac_zeta4_p),
-            ),
-            PerturbationSchedule(self.ac_delta_c, self.ac_delta_p),
         )
+        check_separation(zetas)
+        return zetas
+
+    def ac_stack(self) -> tuple[tuple[StepSchedule, ...], PerturbationSchedule]:
+        """((zeta1, ..., zeta4), SPSA width delta), checked by ``check_separation``."""
+        zetas = (
+            StepSchedule(self.ac_zeta1_c, self.ac_zeta1_p),
+            StepSchedule(self.ac_zeta2_c, self.ac_zeta2_p),
+            StepSchedule(self.ac_zeta3_c, self.ac_zeta3_p),
+            StepSchedule(self.ac_zeta4_c, self.ac_zeta4_p),
+        )
+        delta = PerturbationSchedule(self.ac_delta_c, self.ac_delta_p)
+        check_separation(zetas, delta)
+        return zetas, delta
 
     def theta_box(self) -> Box:
         return Box(-self.policy_theta_bound, self.policy_theta_bound)

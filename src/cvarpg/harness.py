@@ -110,21 +110,21 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
     lam0 = 0.0 if risk_neutral else 1.0
     controller = CapController(risk.lambda_max, config.train_window, config.train_rel_tol,
                                config.train_lambda_margin, risk_neutral)
+    feats = policy_feature_map(config, include_s=spec.budget_aware,
+                               incremental=spec.ac_variant is not None)
 
     if spec.ac_variant is None:
-        feats = policy_feature_map(config, include_s=False)
         n = config.pg_batch_size
 
         def sampler(theta, round_idx, iter_idx):
             batch = rollout_batch(env, feats, theta, seed, ("pg", round_idx, iter_idx), n)
             return batch.losses, batch.scores
 
-        stack = config.pg_stack()
         result = pg_train(
             sampler,
             Iterate(np.zeros(feats.dim), nu0, lam0),
             risk,
-            tuple(stack.slow_to_fast),
+            config.pg_stack(),
             config.theta_box(),
             config.nu_box(),
             config.pg_tuning_iterations,
@@ -132,9 +132,8 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             controller,
         )
     else:
-        feats = policy_feature_map(config, include_s=spec.budget_aware, incremental=True)
         cfeats = critic_feature_map(config, include_s=spec.budget_aware)
-        stack = config.ac_stack()
+        zetas, delta = config.ac_stack()
         orig_cfeats = None
         if spec.ac_variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
             orig_cfeats = critic_feature_map(config, include_s=False)
@@ -144,8 +143,8 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             cfeats,
             Iterate(np.zeros(feats.dim), nu0, lam0, np.zeros(cfeats.dim)),
             risk,
-            tuple(stack.slow_to_fast),
-            stack.perturbation,
+            zetas,
+            delta,
             config.theta_box(),
             config.nu_box(),
             substream(seed, "ac"),
@@ -155,9 +154,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
             controller,
             horizon_cap=config.env_T + 2,
             original_critic_features=orig_cfeats,
-            semi_nu_schedule=(
-                stack.slow_to_fast[2] if config.ac_semi_nu_schedule == "zeta3" else None
-            ),
+            semi_nu_schedule=zetas[2] if config.ac_semi_nu_schedule == "zeta3" else None,
             critic_warmup_episodes=config.ac_critic_warmup_episodes,
         )
 
@@ -171,15 +168,14 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
     """Roll the learned policy out; returns (losses, episode lengths)."""
     env = OptStopEnv(config.env_params())
     spec = algorithm_spec(trained.algorithm)
-    if spec.ac_variant is None:
-        feats = policy_feature_map(config, include_s=False)
+    feats = policy_feature_map(config, include_s=spec.budget_aware,
+                               incremental=spec.ac_variant is not None)
+    if spec.budget_aware:
+        batch = rollout_batch_augmented(env, feats, trained.theta, trained.nu, seed, ("eval",),
+                                        episodes, with_scores=False)
+    else:
         batch = rollout_batch(env, feats, trained.theta, seed, ("eval",), episodes,
                               with_scores=False)
-    else:
-        feats = policy_feature_map(config, include_s=spec.budget_aware, incremental=True)
-        s0 = trained.nu if spec.budget_aware else 0.0
-        batch = rollout_batch_augmented(env, feats, trained.theta, s0, seed, ("eval",), episodes,
-                                        with_scores=False)
     return batch.losses, batch.lengths
 
 
@@ -219,19 +215,31 @@ def build_report(config: ExperimentConfig, trained: TrainedPolicy, losses: np.nd
     )
 
 
+def evaluate_and_write(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
+                       out_dir: str | None, episodes: int | None):
+    """Evaluate and report; given ``out_dir``, also write every artifact and print a summary.
+
+    ``episodes`` None means ``config.eval_episodes``. Returns (report, losses, lengths)."""
+    episodes = episodes if episodes is not None else config.eval_episodes
+    losses, lengths = evaluate_policy(config, trained, seed, episodes)
+    report = build_report(config, trained, losses, seed)
+    if out_dir is not None:
+        write_artifacts(Path(out_dir), config, trained, report, losses, lengths, seed)
+        print(f"wrote artifacts to {out_dir}")
+        print(f"mean={report.mean:.6f} variance={report.variance:.6f} "
+              f"cvar={report.cvar_alpha:.6f} tail_prob={report.tail_prob_beta:.6f}")
+    return report, losses, lengths
+
+
 def run_experiment(config: ExperimentConfig, seed: int, out_dir: str | None = None,
                    eval_episodes: int | None = None):
-    """Train, evaluate, and optionally write all artifacts.
+    """Train, then ``evaluate_and_write``.
 
     Returns (report, trained, losses, lengths). A non-converged run still
     produces a full report; the caller decides how to surface it.
     """
     trained = train_policy(config, seed)
-    episodes = eval_episodes if eval_episodes is not None else config.eval_episodes
-    losses, lengths = evaluate_policy(config, trained, seed, episodes)
-    report = build_report(config, trained, losses, seed)
-    if out_dir is not None:
-        write_artifacts(Path(out_dir), config, trained, report, losses, lengths, seed)
+    report, losses, lengths = evaluate_and_write(config, trained, seed, out_dir, eval_episodes)
     return report, trained, losses, lengths
 
 

@@ -1,4 +1,4 @@
-"""Step-size schedules, projections, and the multiplier-cap controller."""
+"""Step-size schedules, ``check_separation``, projections, and the multiplier-cap controller."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,36 +51,29 @@ class PerturbationSchedule:
         return self.c / float(k) ** self.p
 
 
-@dataclass(frozen=True)
-class TimescaleStack:
-    """Ordered schedules from slowest to fastest update.
+def check_separation(zetas: tuple[StepSchedule, ...],
+                     perturbation: PerturbationSchedule | None = None) -> None:
+    """Raise ``InputError`` unless ``zetas``, slowest first, separate their timescales.
 
     Separation requires strictly decreasing exponents from slow to fast,
-    so each slower schedule is o() of every faster one. When a
-    perturbation schedule is attached, the second-slowest step size must
-    satisfy 2*(p2 - p_delta) > 1 so the perturbed-difference noise is
+    so each slower schedule is o() of every faster one. With a
+    perturbation schedule, the second-slowest step size must satisfy
+    2*(p2 - p_delta) > 1 so the perturbed-difference noise is
     square-summable.
     """
-
-    slow_to_fast: tuple[StepSchedule, ...]
-    perturbation: PerturbationSchedule | None = None
-
-    def __post_init__(self):
-        if len(self.slow_to_fast) < 2:
-            raise InputError("need at least two timescales")
-        exps = [s.p for s in self.slow_to_fast]
-        for slow, fast in zip(exps, exps[1:]):
-            if not slow > fast:
-                raise InputError(
-                    f"timescale exponents must strictly decrease slow to fast, got {exps}"
-                )
-        if self.perturbation is not None:
-            p2 = self.slow_to_fast[1].p
-            if not 2.0 * (p2 - self.perturbation.p) > 1.0:
-                raise InputError(
-                    "perturbation decays too fast: need 2*(p2 - p_delta) > 1, "
-                    f"got p2={p2}, p_delta={self.perturbation.p}"
-                )
+    exps = [s.p for s in zetas]
+    for slow, fast in zip(exps, exps[1:]):
+        if not slow > fast:
+            raise InputError(
+                f"timescale exponents must strictly decrease slow to fast, got {exps}"
+            )
+    if perturbation is not None:
+        p2 = zetas[1].p
+        if not 2.0 * (p2 - perturbation.p) > 1.0:
+            raise InputError(
+                "perturbation decays too fast: need 2*(p2 - p_delta) > 1, "
+                f"got p2={p2}, p_delta={perturbation.p}"
+            )
 
 
 @dataclass(frozen=True)

@@ -246,8 +246,8 @@ def make_diamond_mdp() -> FiniteMDP:
 class TabularPolicyFeatures:
     """One-hot (state, action) policy features for finite MDPs.
 
-    Works on raw integer states and on augmented states (the budget
-    coordinate is ignored, terminal phases get a single zero row).
+    Works on raw integer states and on the decision states of the
+    augmented process, whose budget coordinate it ignores.
     """
 
     def __init__(self, n_states: int, n_actions: int):
@@ -255,17 +255,9 @@ class TabularPolicyFeatures:
         self.n_actions = n_actions
         self.dim = n_states * n_actions
 
-    def _raw_state(self, state):
-        if isinstance(state, AugState):
-            return None if state.at_terminal else state.env_state
-        return state
-
     def per_action(self, state) -> np.ndarray:
-        x = self._raw_state(state)
-        if x is None:
-            return np.zeros((1, self.dim))
         base = np.zeros(self.n_states)
-        base[x] = 1.0
+        base[state.env_state if isinstance(state, AugState) else state] = 1.0
         return action_blocks(base, self.n_actions)
 
 
@@ -278,8 +270,6 @@ class ChainFeatures:
         self.dim = chain.n
 
     def __call__(self, state) -> np.ndarray:
-        if state is None:
-            return np.zeros(self.dim)
         return self.chain.one_hot(state)
 
     def at_initial(self, s: float) -> np.ndarray:
@@ -445,12 +435,11 @@ class FiniteAugmentedChain:
     def n(self) -> int:
         return len(self.states)
 
-    def one_hot(self, state: AugState | None) -> np.ndarray:
+    def one_hot(self, state: AugState) -> np.ndarray:
         phi = np.zeros(self.n)
-        if state is not None:
-            idx = self.index.get(_state_key(state))
-            if idx is not None:
-                phi[idx] = 1.0
+        idx = self.index.get(_state_key(state))
+        if idx is not None:
+            phi[idx] = 1.0
         return phi
 
 

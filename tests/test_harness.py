@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from cvarpg.harness import (
     report_to_text,
     run_experiment,
 )
-from cvarpg.optstop import OptStopEnv, rollout_batch
+from cvarpg.optstop import OptStopEnv, rollout_batch, rollout_batch_augmented
 from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
 
 
@@ -80,6 +81,16 @@ def test_parse_errors():
                        ("env.p_h", "-inf"), ("risk.beta", float("nan"))):
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({key: value})
+
+
+def test_validate_reports_only_input_errors_as_config_errors():
+    # a wrongly typed field is a programming error, not a bad config value
+    with pytest.raises(TypeError):
+        replace(ExperimentConfig(), risk_alpha="0.9").validate()
+    with pytest.raises(ConfigError, match="alpha must be in"):
+        replace(ExperimentConfig(), risk_alpha=1.5).validate()
+    with pytest.raises(ConfigError, match="perturbation decays too fast"):
+        replace(ExperimentConfig(), algorithm="AC", ac_delta_p=0.4).validate()
 
 
 def test_config_round_trip_via_dict():
@@ -166,6 +177,29 @@ def test_evaluation_is_one_kernel_call(monkeypatch):
     assert sizes == [60]
     direct = rollout_batch(OptStopEnv(cfg.env_params()), feats, theta, 5, ("eval",), 60,
                            with_scores=False)
+    assert np.array_equal(losses, direct.losses)
+    assert np.array_equal(lengths, direct.lengths)
+
+
+def test_risk_neutral_ac_evaluation_is_one_budget_blind_rollout(monkeypatch):
+    # AC's policy does not read the budget, so its evaluation equals the
+    # augmented rollout from budget 0 bit for bit
+    cfg = small_config("AC")
+    feats = harness.policy_feature_map(cfg, include_s=False, incremental=True)
+    theta = np.random.default_rng(7).normal(0.0, 5.0, feats.dim)
+    theta[-1] += 20.0  # a wait bias, so episodes run past their first decisions
+    trained = harness.TrainedPolicy("AC", theta, 0.0, 0.0, np.zeros(3), None, False,
+                                    1000.0, 0, [])
+    calls = []
+    for name in ("rollout_batch", "rollout_batch_augmented"):
+        def counted(*args, _kernel=getattr(harness, name), **kwargs):
+            calls.append(_kernel)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    losses, lengths = evaluate_policy(cfg, trained, seed=5, episodes=60)
+    assert len(calls) == 1
+    direct = rollout_batch_augmented(OptStopEnv(cfg.env_params()), feats, theta, 0.0, 5,
+                                     ("eval",), 60, with_scores=False)
     assert np.array_equal(losses, direct.losses)
     assert np.array_equal(lengths, direct.lengths)
 

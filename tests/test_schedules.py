@@ -11,25 +11,23 @@ from cvarpg.schedules import (
     Iterate,
     PerturbationSchedule,
     StepSchedule,
-    TimescaleStack,
+    check_separation,
     lambda_max_controller,
     relative_change,
 )
 
-PG_STACK = TimescaleStack((
+PG_ZETAS = (
     StepSchedule(0.1, 1.0),
     StepSchedule(0.05, 0.8),
     StepSchedule(0.01, 0.55),
-))
-AC_STACK = TimescaleStack(
-    (
-        StepSchedule(1.0, 1.0),
-        StepSchedule(1.0, 0.85),
-        StepSchedule(0.5, 0.7),
-        StepSchedule(0.5, 0.55),
-    ),
-    PerturbationSchedule(0.5, 0.1),
 )
+AC_ZETAS = (
+    StepSchedule(1.0, 1.0),
+    StepSchedule(1.0, 0.85),
+    StepSchedule(0.5, 0.7),
+    StepSchedule(0.5, 0.55),
+)
+AC_DELTA = PerturbationSchedule(0.5, 0.1)
 
 
 def test_step_values():
@@ -50,21 +48,23 @@ def test_schedule_validation():
 
 def test_timescale_separation_ratios():
     # slow/fast ratio shrinks below 0.1 by i = 1e6 and decreases monotonically
-    for stack in (PG_STACK, AC_STACK):
-        slow, fast = stack.slow_to_fast[0], stack.slow_to_fast[-1]
+    for zetas in (PG_ZETAS, AC_ZETAS):
+        slow, fast = zetas[0], zetas[-1]
         ratios = [slow(i) / fast(i) for i in (10, 10**3, 10**6)]
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 0.1
-    zeta1, zeta4 = AC_STACK.slow_to_fast[0], AC_STACK.slow_to_fast[-1]
+    zeta1, zeta4 = AC_ZETAS[0], AC_ZETAS[-1]
     assert zeta1(10**6) / zeta4(10**6) < 1e-2
 
 
 def test_timescale_stack_validation():
-    with pytest.raises(InputError):
-        TimescaleStack((StepSchedule(0.1, 0.8), StepSchedule(0.1, 0.8)))
-    with pytest.raises(InputError):
+    check_separation(PG_ZETAS)
+    check_separation(AC_ZETAS, AC_DELTA)
+    with pytest.raises(InputError, match="strictly decrease"):
+        check_separation((StepSchedule(0.1, 0.8), StepSchedule(0.1, 0.8)))
+    with pytest.raises(InputError, match="perturbation decays too fast"):
         # perturbation decays too fast relative to the second schedule
-        TimescaleStack(
+        check_separation(
             (StepSchedule(0.1, 1.0), StepSchedule(0.1, 0.8)),
             PerturbationSchedule(0.5, 0.4),
         )
@@ -80,7 +80,7 @@ def test_spsa_square_summability_tail():
     # spot-check of sum (zeta2/Delta)^2 < inf with the default constants:
     # terms decay like k^{-1.5}, so the increment at k = 1e6 is tiny and
     # the residual tail is bounded by the integral test
-    zeta2, delta = AC_STACK.slow_to_fast[1], AC_STACK.perturbation
+    zeta2, delta = AC_ZETAS[1], AC_DELTA
     term = lambda k: (zeta2(k) / delta(k)) ** 2
     assert term(10**6) < 1e-8
     ks = np.arange(10**5, 10**6, 997)
