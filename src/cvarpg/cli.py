@@ -7,6 +7,9 @@ recombining cost lattice, at any horizon).
 
 Exit codes: 0 success, 2 configuration or input error, 3 training did
 not converge (artifacts are still written), 4 runtime or numeric error.
+Every bad config, ``params.json``, ``report.txt`` or ``--eval-episodes``
+is refused with exit 2 before any rollout runs or output is written:
+argparse refuses the count, and the rest raise ``InputError``.
 """
 from __future__ import annotations
 
@@ -16,23 +19,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config
-from .errors import ConfigError, InputError, SimulationError
-from .harness import (
-    compare,
-    evaluate_and_write,
-    load_params,
-    policy_feature_map,
-    report_from_text,
-    run_experiment,
-)
-from .optstop import enumerate_loss_distribution
+from .config import load_config, read_text
+from .errors import InputError, SimulationError
+from .harness import compare, evaluate_and_write, load_params, report_from_text, run_experiment
+from .lattice import StoppingLattice
 from .risk import cvar, tail_probability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_RUNTIME = 4
+
+# enumerate-oracle's stop rules, as the acceptance probability at every node;
+# uniform is the theta = 0 Boltzmann policy, whose softmax gives exactly 0.5
+_ORACLE_ACCEPTANCE = {"uniform": 0.5, "accept": 1.0, "wait": 0.0}
+
+
+def _episode_count(text: str) -> int:
+    """argparse type of ``--eval-episodes``: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,13 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True, help="output directory")
     train.add_argument("--algorithm", default=None, help="override the configured algorithm")
-    train.add_argument("--eval-episodes", type=int, default=None)
+    train.add_argument("--eval-episodes", type=_episode_count, default=None)
 
     ev = sub.add_parser("eval", help="re-evaluate saved parameters")
     ev.add_argument("--params", required=True, help="params.json from a train run")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--eval-episodes", type=int, default=None)
+    ev.add_argument("--eval-episodes", type=_episode_count, default=None)
 
     cmp_p = sub.add_parser("compare", help="side-by-side table of report files")
     cmp_p.add_argument("reports", nargs="+", help="two or more report.txt files")
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("enumerate-oracle",
                             help="exact loss distribution of a fixed policy, from the cost lattice")
     oracle.add_argument("--config", required=True)
-    oracle.add_argument("--policy", default="uniform", choices=["uniform", "accept", "wait"])
+    oracle.add_argument("--policy", default="uniform", choices=list(_ORACLE_ACCEPTANCE))
     oracle.add_argument("--out", default=None, help="optional CSV path for the atoms")
     return parser
 
@@ -85,20 +92,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports = []
-    for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(report_from_text(fh.read()))
+    reports = [report_from_text(read_text(path, "report")) for path in args.reports]
     print(compare(reports), end="")
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
-    params = config.env_params()
-    feats = policy_feature_map(config, include_s=False)
-    policy = "boltzmann" if args.policy == "uniform" else args.policy
-    dist = enumerate_loss_distribution(feats, np.zeros(feats.dim), params, policy=policy)
+    lattice = StoppingLattice(config.env_params())
+    dist = lattice.distribution(np.full(lattice.loss.shape, _ORACLE_ACCEPTANCE[args.policy]))
     alpha, beta = config.risk_alpha, config.risk_beta
     print(f"atoms={len(dist)} mean={dist.mean():.9f} variance={dist.variance():.9f}")
     print(f"cvar_{alpha}={cvar(dist, alpha):.9f} tail_prob_{beta}={tail_probability(dist, beta):.9f}")
@@ -121,7 +123,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, FloatingPointError) as exc:

@@ -1,8 +1,10 @@
-"""Flat key=value experiment configuration.
+"""Flat key=value experiment configuration, and the reader of every input file.
 
 One ``key = value`` pair per line, ``#`` starts a comment, dotted
 prefixes group sections (``env.T = 20``). Unknown keys are rejected so
-typos fail loudly; so are NaN and infinite floats.
+typos fail loudly; so are NaN and infinite floats. ``report.txt`` is read
+by the same two parsers, and any file that will not read, parse or
+validate raises ``InputError``.
 """
 from __future__ import annotations
 
@@ -11,10 +13,10 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .ac import AcVariant
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .optstop import OptStopParams
 from .risk import RiskSpec
-from .schedules import Box, PerturbationSchedule, StepSchedule, check_separation
+from .schedules import MIN_WINDOW, Box, PerturbationSchedule, StepSchedule, check_separation
 
 
 class Algorithm(NamedTuple):
@@ -41,7 +43,7 @@ ALGORITHMS = {
 
 def algorithm_spec(name: str) -> Algorithm:
     if name not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}")
+        raise InputError(f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}")
     return ALGORITHMS[name]
 
 
@@ -108,26 +110,25 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         spec = algorithm_spec(self.algorithm)
-        try:
-            self.env_params()
-            self.risk_spec()
-            if spec.ac_variant is None:
-                self.pg_stack()
-            else:
-                self.ac_stack()
-        except InputError as exc:  # env, risk and schedule checks, check_separation among them
-            raise ConfigError(str(exc)) from exc
+        self.env_params()
+        self.risk_spec()
+        if spec.ac_variant is None:
+            self.pg_stack()
+        else:
+            self.ac_stack()
         for name in ("pg_batch_size", "pg_tuning_iterations", "pg_iteration_cap",
                      "ac_tuning_episodes", "ac_episode_cap", "eval_episodes",
-                     "train_warmup_rollouts", "output_histogram_bins", "train_window"):
+                     "train_warmup_rollouts", "output_histogram_bins"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise InputError(f"{name} must be >= 1")
+        if self.train_window < MIN_WINDOW:
+            raise InputError(f"train_window must be >= {MIN_WINDOW}")
         if self.ac_critic_warmup_episodes < 0:
-            raise ConfigError("ac_critic_warmup_episodes must be >= 0")
+            raise InputError("ac_critic_warmup_episodes must be >= 0")
         if not self.features_s_min < self.features_s_max:
-            raise ConfigError("features.s_min must be below features.s_max")
+            raise InputError("features.s_min must be below features.s_max")
         if self.ac_semi_nu_schedule not in ("zeta2", "zeta3"):
-            raise ConfigError("ac.semi_nu_schedule must be 'zeta2' or 'zeta3'")
+            raise InputError("ac.semi_nu_schedule must be 'zeta2' or 'zeta3'")
         return self
 
     def env_params(self) -> OptStopParams:
@@ -189,58 +190,64 @@ def _attr_to_key(attr: str) -> str:
 
 
 _SECTIONS = {"env", "risk", "pg", "ac", "features", "policy", "train", "eval", "output"}
-_KEY_TO_ATTR = {}
-_ATTR_TYPES = {}
-for f in fields(ExperimentConfig):
-    _KEY_TO_ATTR[_attr_to_key(f.name)] = f.name
-    _ATTR_TYPES[f.name] = f.type
+_FIELDS = {_attr_to_key(f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict:
-    """Raw key -> string value mapping from config file text."""
+    """Raw key -> string value mapping of a config file's text, or of a report's."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise InputError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value")
+            raise InputError(f"line {lineno}: empty key or value")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise InputError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
 
+# a report's bool is "true" or "false"; tuple.index refuses anything else with ValueError
+_KINDS = {"int": int, "float": float, "str": str,
+          "bool": lambda text: ("false", "true").index(text) == 1}
+
+
+def read_field(mapping: dict, key: str, kind: str):
+    """``mapping[key]``, text or a JSON scalar, parsed as "int", "float", "str" or "bool"."""
+    if key not in mapping:
+        raise InputError(f"missing key {key!r}")
+    value = mapping[key]
+    try:
+        parsed = _KINDS[kind](str(value))
+    except ValueError as exc:
+        raise InputError(f"key {key!r}: cannot parse {value!r} as {kind}") from exc
+    if isinstance(parsed, float) and not math.isfinite(parsed):
+        raise InputError(f"key {key!r}: {value!r} is not a finite number")
+    return parsed
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    for key, value in mapping.items():
-        attr = _KEY_TO_ATTR.get(key)
-        if attr is None:
-            raise ConfigError(f"unknown config key {key!r}")
-        kind = _ATTR_TYPES[attr]
-        try:
-            if kind in ("int", int):
-                parsed: object = int(str(value))
-            elif kind in ("float", float):
-                parsed = float(str(value))
-            else:
-                parsed = str(value)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}") from exc
-        if isinstance(parsed, float) and not math.isfinite(parsed):
-            raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
-        setattr(cfg, attr, parsed)
+    for key in mapping:
+        if key not in _FIELDS:
+            raise InputError(f"unknown config key {key!r}")
+        setattr(cfg, _FIELDS[key].name, read_field(mapping, key, _FIELDS[key].type))
     return cfg.validate()
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_text(path: str, what: str) -> str:
+    """The text of a user-named file; one that will not read as UTF-8 is an ``InputError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_mapping(parse_config_text(text))
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_mapping(parse_config_text(read_text(path, "config")))

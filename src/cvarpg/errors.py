@@ -2,11 +2,8 @@
 
 
 class InputError(ValueError):
-    """Caller supplied an argument outside an operation's contract."""
-
-
-class ConfigError(ValueError):
-    """Experiment configuration failed to parse or validate."""
+    """An argument outside an operation's contract, or an input file that will not read,
+    parse or validate; the CLI exits 2 on it."""
 
 
 class SimulationError(RuntimeError):

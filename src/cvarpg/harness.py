@@ -9,14 +9,14 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .ac import AcVariant, ac_train
-from .config import ExperimentConfig, algorithm_spec, config_from_mapping
+from .config import (ExperimentConfig, algorithm_spec, config_from_mapping, parse_config_text,
+                     read_field, read_text)
 from .errors import InputError
 from .optstop import (
     OptStopCriticFeatures,
@@ -170,6 +170,9 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
     spec = algorithm_spec(trained.algorithm)
     feats = policy_feature_map(config, include_s=spec.budget_aware,
                                incremental=spec.ac_variant is not None)
+    if trained.theta.shape != (feats.dim,):
+        raise InputError(f"theta has shape {trained.theta.shape}; the config's policy map "
+                         f"needs ({feats.dim},)")
     if spec.budget_aware:
         batch = rollout_batch_augmented(env, feats, trained.theta, trained.nu, seed, ("eval",),
                                         episodes, with_scores=False)
@@ -279,13 +282,10 @@ def write_histogram_csv(path: Path, edges: np.ndarray, counts: np.ndarray) -> No
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# report.txt holds the scalar fields of EvaluationReport, one per line in
-# declaration order, each parsed back by its declared type
-_PARSERS = {str: str, int: int, float: float, bool: lambda text: text == "true"}
-_REPORT_FIELDS = {
-    name: _PARSERS[hint]
-    for name, hint in get_type_hints(EvaluationReport).items() if hint in _PARSERS
-}
+# report.txt holds the scalar fields of EvaluationReport, one `key = value`
+# line each in declaration order, read back as a config file is
+_REPORT_FIELDS = {f.name: f.type for f in fields(EvaluationReport)
+                  if f.type in ("str", "int", "float", "bool")}
 
 
 def report_to_text(report: EvaluationReport) -> str:
@@ -297,14 +297,9 @@ def report_to_text(report: EvaluationReport) -> str:
 
 
 def report_from_text(text: str) -> EvaluationReport:
-    raw: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition(" = ")
-        raw[key] = value
-    return EvaluationReport(**{key: parse(raw[key]) for key, parse in _REPORT_FIELDS.items()})
+    raw = parse_config_text(text)
+    return EvaluationReport(**{key: read_field(raw, key, kind)
+                               for key, kind in _REPORT_FIELDS.items()})
 
 
 def write_artifacts(out_dir: Path, config: ExperimentConfig, trained: TrainedPolicy,
@@ -337,22 +332,30 @@ def write_artifacts(out_dir: Path, config: ExperimentConfig, trained: TrainedPol
 
 
 def load_params(path: str) -> tuple[ExperimentConfig, TrainedPolicy]:
-    with open(path, "r", encoding="utf-8") as fh:
-        params = json.load(fh)
-    config = config_from_mapping(params["config"])
-    trained = TrainedPolicy(
-        algorithm=params["algorithm"],
-        theta=np.asarray(params["theta"], dtype=float),
-        nu=float(params["nu"]),
-        lam=float(params["lambda"]),
-        v=None if params["v"] is None else np.asarray(params["v"], dtype=float),
-        u=None if params["u"] is None else np.asarray(params["u"], dtype=float),
-        converged=bool(params["converged"]),
-        lambda_max_final=float(params["lambda_max_final"]),
-        doublings=int(params["doublings"]),
-        history=[],
-    )
-    return config, trained
+    """The config and trained policy of a ``params.json``; a malformed file is an ``InputError``."""
+    text = read_text(path, "params")
+    try:
+        params = json.loads(text)
+        mapping = params["config"]
+        if not isinstance(mapping, dict) or not isinstance(params["algorithm"], str):
+            raise TypeError("'config' must be an object and 'algorithm' a string")
+        trained = TrainedPolicy(
+            algorithm=params["algorithm"],
+            theta=np.asarray(params["theta"], dtype=float),
+            nu=float(params["nu"]),
+            lam=float(params["lambda"]),
+            v=None if params["v"] is None else np.asarray(params["v"], dtype=float),
+            u=None if params["u"] is None else np.asarray(params["u"], dtype=float),
+            converged=bool(params["converged"]),
+            lambda_max_final=float(params["lambda_max_final"]),
+            doublings=int(params["doublings"]),
+            history=[],
+        )
+    except KeyError as exc:
+        raise InputError(f"params {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, or a value of the wrong type
+        raise InputError(f"params {path}: {exc}") from exc
+    return config_from_mapping(mapping), trained
 
 
 _COMPARE_METRICS = ("mean", "variance", "cvar_alpha", "tail_prob_beta")

@@ -356,23 +356,17 @@ def rollout_batch_augmented(
 
 
 def enumerate_loss_distribution(
-    feats: OptStopPolicyFeatures | None,
-    theta: np.ndarray | None,
+    feats: OptStopPolicyFeatures,
+    theta: np.ndarray,
     params: OptStopParams,
-    policy: str = "boltzmann",
     max_horizon: int | None = None,
 ) -> EmpiricalDistribution:
-    """Exact loss distribution of a fixed policy, from the cost lattice, at any T.
+    """Exact loss distribution of the raw-state Boltzmann policy of feats/theta, at any T.
 
-    ``policy`` may be "boltzmann" (the raw-state policy of feats/theta),
-    "accept", or "wait". Atoms are sorted, equal losses merged. An explicit
-    ``max_horizon`` refuses a longer horizon.
+    It comes from the cost lattice; atoms are sorted, equal losses merged.
+    An explicit ``max_horizon`` refuses a longer horizon.
     """
     if max_horizon is not None and params.T > max_horizon:
         raise InputError(f"enumeration refused: T={params.T} exceeds budget {max_horizon}")
     lattice = StoppingLattice(params)
-    if policy == "boltzmann":
-        return lattice.distribution(lattice.node_rule(feats, theta))
-    if policy not in ("accept", "wait"):
-        raise InputError(f"unknown policy {policy!r}")
-    return lattice.distribution(np.full(lattice.loss.shape, float(policy == "accept")))
+    return lattice.distribution(lattice.node_rule(feats, theta))

@@ -10,6 +10,9 @@ from .errors import InputError
 from .features import clamp
 
 
+MIN_WINDOW = 2  # a relative change needs two iterates
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Polynomially decaying step size c / i^p with p in (0.5, 1].
@@ -131,8 +134,8 @@ def lambda_max_controller(
     settled away from the cap and the caller's own parameter-change test
     passed. Otherwise CONTINUE.
     """
-    if window < 2:
-        raise InputError(f"window must be >= 2, got {window}")
+    if window < MIN_WINDOW:
+        raise InputError(f"window must be >= {MIN_WINDOW}, got {window}")
     if len(lam_history) < window:
         return Decision.CONTINUE
     tail = np.asarray(lam_history[-window:], dtype=float)

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarpg import harness
+from cvarpg import cli, harness
 from cvarpg.config import (
     ExperimentConfig,
     config_from_mapping,
     parse_config_text,
 )
-from cvarpg.errors import ConfigError, InputError
+from cvarpg.errors import InputError
 from cvarpg.harness import (
     build_report,
     compare,
@@ -57,29 +57,29 @@ def test_parse_config_text():
 
 
 def test_parse_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         parse_config_text("not a pair")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         parse_config_text("a = 1\na = 2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_mapping({"bogus.key": "1"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_mapping({"env.T": "soon"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_mapping({"algorithm": "MAGIC"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_mapping({"env.f_u": "0.5"})  # violates environment invariants
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_mapping({"pg.zeta2_p": "0.3"})  # schedule exponent out of range
     for key, value in (("pg.iteration_cap", "0"), ("ac.episode_cap", "0"),
                        ("ac.critic_warmup_episodes", "-1")):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             config_from_mapping({key: value})
     # non-finite floats are refused by name, from text and from params.json's floats
     for key, value in (("env.c_max", "nan"), ("policy.theta_bound", "NaN"), ("env.f_u", "inf"),
                        ("features.rbf_width_scale", "nan"), ("risk.lambda_max", "inf"),
                        ("env.p_h", "-inf"), ("risk.beta", float("nan"))):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(InputError, match=key):
             config_from_mapping({key: value})
 
 
@@ -87,9 +87,9 @@ def test_validate_reports_only_input_errors_as_config_errors():
     # a wrongly typed field is a programming error, not a bad config value
     with pytest.raises(TypeError):
         replace(ExperimentConfig(), risk_alpha="0.9").validate()
-    with pytest.raises(ConfigError, match="alpha must be in"):
+    with pytest.raises(InputError, match="alpha must be in"):
         replace(ExperimentConfig(), risk_alpha=1.5).validate()
-    with pytest.raises(ConfigError, match="perturbation decays too fast"):
+    with pytest.raises(InputError, match="perturbation decays too fast"):
         replace(ExperimentConfig(), algorithm="AC", ac_delta_p=0.4).validate()
 
 
@@ -329,6 +329,75 @@ def test_cli_enumerate_oracle(tmp_path):
         assert rows[0] == "loss,weight"
         weights = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Config, params.json and report.txt files, good and bad, of an untrained PG policy."""
+    root = tmp_path_factory.mktemp("inputs")
+    cfg = small_config("PG")
+    theta = np.zeros(harness.policy_feature_map(cfg, include_s=False).dim)
+    trained = harness.TrainedPolicy("PG", theta, 0.0, 0.0, None, None, True, 1000.0, 0, [])
+    losses = np.linspace(1.0, 2.0, 10)
+    report = build_report(cfg, trained, losses, seed=0)
+    harness.write_artifacts(root, cfg, trained, report, losses, np.ones(10, dtype=int), 0)
+    params = json.loads((root / "params.json").read_text())
+    bad_params = {"no_theta": {k: v for k, v in params.items() if k != "theta"},
+                  "bad_nu": {**params, "nu": "abc"},
+                  "long_theta": {**params, "theta": [*params["theta"], 0.0]},
+                  "config_list": {**params, "config": [["env.T", 8]]},
+                  "algorithm_list": {**params, "algorithm": ["PG"]}}
+    for name, bad in bad_params.items():
+        (root / f"{name}.json").write_text(json.dumps(bad))
+    (root / "malformed.json").write_text("{not json")
+    text = (root / "report.txt").read_text()
+    assert "\nmean = " in text
+    (root / "no_mean.txt").write_text(
+        "".join(line + "\n" for line in text.splitlines() if not line.startswith("mean = ")))
+    (root / "bad_mean.txt").write_text(text.replace("\nmean = ", "\nmean = x"))
+    (root / "small.cfg").write_text("algorithm = PG\nenv.T = 8\n")
+    (root / "window1.cfg").write_text("algorithm = PG\nenv.T = 8\ntrain.window = 1\n")
+    (root / "undiscounted.cfg").write_text("algorithm = PG\nenv.T = 8\nenv.gamma = 1.0\n")
+    return root
+
+
+BAD_INPUTS = {
+    "eval-missing-file": ["eval", "--params", "missing.json"],
+    "eval-malformed-json": ["eval", "--params", "malformed.json"],
+    "eval-missing-key": ["eval", "--params", "no_theta.json"],
+    "eval-bad-number": ["eval", "--params", "bad_nu.json"],
+    "eval-theta-length": ["eval", "--params", "long_theta.json"],
+    "eval-config-not-object": ["eval", "--params", "config_list.json"],
+    "eval-algorithm-not-string": ["eval", "--params", "algorithm_list.json"],
+    "eval-zero-episodes": ["eval", "--params", "params.json", "--eval-episodes", "0"],
+    "compare-missing-file": ["compare", "report.txt", "missing.txt"],
+    "compare-missing-key": ["compare", "report.txt", "no_mean.txt"],
+    "compare-bad-number": ["compare", "report.txt", "bad_mean.txt"],
+    "train-zero-episodes": ["train", "--config", "small.cfg", "--eval-episodes", "0"],
+    "train-window-1": ["train", "--config", "window1.cfg"],
+    "oracle-undiscounted": ["enumerate-oracle", "--config", "undiscounted.cfg"],  # RiskSpec
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_cli_refuses_bad_input_before_any_work(case, input_files, monkeypatch, capsys):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("a rollout ran")
+
+    monkeypatch.setattr(harness, "rollout_batch", no_rollout)
+    monkeypatch.setattr(harness, "rollout_batch_augmented", no_rollout)
+    monkeypatch.chdir(input_files)
+    out = input_files / f"out-{case}"
+    argv = BAD_INPUTS[case] + ([] if case.startswith("compare") else ["--out", str(out)])
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a bad --eval-episodes itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workload", ["oracle", "pg_train", "ac_train"])

@@ -75,9 +75,15 @@ def test_episodes_never_exceed_horizon():
         assert traj.length <= PAPER.T + 1
 
 
+def fixed_rule(params, accept):
+    """The exact loss distribution of a rule that accepts with one probability everywhere."""
+    lattice = StoppingLattice(params)
+    return lattice.distribution(np.full(lattice.loss.shape, accept))
+
+
 def test_enumerate_always_accept_is_point_mass():
     params = OptStopParams(T=12)
-    dist = enumerate_loss_distribution(None, None, params, policy="accept")
+    dist = fixed_rule(params, 1.0)
     assert len(dist) == 1
     assert dist.samples[0] == params.c0
     assert dist.weights[0] == 1.0
@@ -85,7 +91,7 @@ def test_enumerate_always_accept_is_point_mass():
 
 def test_enumerate_always_wait_binomial():
     params = OptStopParams(T=2, gamma=1.0, p_h=0.0)
-    dist = enumerate_loss_distribution(None, None, params, policy="wait")
+    dist = fixed_rule(params, 0.0)
     expected = {
         1.5 * 1.5 * 1.0: 0.65 * 0.65,
         1.5 * 0.8 * 1.0: 2 * 0.65 * 0.35,  # recombining tree merges ud and du
@@ -99,12 +105,15 @@ def test_enumerate_always_wait_binomial():
 
 def test_enumeration_budget_guard():
     # the lattice serves the full horizon; only an explicit cap below T refuses
-    dist = enumerate_loss_distribution(None, None, OptStopParams(T=20), policy="wait")
+    params = OptStopParams(T=20)
+    feats = OptStopPolicyFeatures(params)
+    for cap in (None, 20):
+        dist = enumerate_loss_distribution(feats, np.zeros(feats.dim), params, max_horizon=cap)
+        assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    dist = fixed_rule(params, 0.0)
     assert len(dist) == 21 and dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
-        enumerate_loss_distribution(None, None, OptStopParams(T=13), policy="wait", max_horizon=12)
-    with pytest.raises(InputError):
-        enumerate_loss_distribution(None, None, OptStopParams(T=3), policy="stay")
+        enumerate_loss_distribution(None, None, OptStopParams(T=13), max_horizon=12)
 
 
 def test_enumerate_uniform_matches_monte_carlo():
@@ -143,7 +152,10 @@ def test_lattice_matches_path_enumeration(params, policy):
         theta[feats.rbf.n_features - 1 if policy == "accept" else -1] = 1000.0
     paths = enumerate_trajectories(OptStopEnv(params), feats, theta, params.gamma, params.T + 2)
     exact = EmpiricalDistribution([t.loss for _, t in paths], [p for p, _ in paths])
-    got = enumerate_loss_distribution(feats, theta, params, policy=policy)
+    if policy == "boltzmann":
+        got = enumerate_loss_distribution(feats, theta, params)
+    else:
+        got = fixed_rule(params, float(policy == "accept"))
     assert np.all(np.diff(got.samples) > 0.0)  # sorted, equal losses merged
     # path-order cost products differ from the lattice's by an ulp, so the
     # atoms need not match one for one; the risk figures must
