@@ -118,9 +118,15 @@ class ExperimentConfig:
             self.ac_stack()
         for name in ("pg_batch_size", "pg_tuning_iterations", "pg_iteration_cap",
                      "ac_tuning_episodes", "ac_episode_cap", "eval_episodes",
-                     "train_warmup_rollouts", "output_histogram_bins"):
+                     "train_warmup_rollouts", "output_histogram_bins",
+                     "features_policy_centers", "features_critic_centers"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
+        for name in ("train_rel_tol", "policy_theta_bound", "env_c_max"):
+            if getattr(self, name) < 0.0:
+                raise InputError(f"{name} must be >= 0")
+        if not 0.0 <= self.train_lambda_margin < 1.0:
+            raise InputError("train_lambda_margin must be in [0, 1)")
         if self.train_window < MIN_WINDOW:
             raise InputError(f"train_window must be >= {MIN_WINDOW}")
         if self.ac_critic_warmup_episodes < 0:

@@ -258,10 +258,13 @@ def _fmt(x) -> str:
 
 
 def write_losses_csv(path: Path, losses: np.ndarray, lengths: np.ndarray) -> None:
-    # repr of a Python float is what _fmt writes for a loss
-    losses = np.asarray(losses, dtype=float).tolist()
+    # repr of a Python float is what _fmt writes for a loss; it runs once per
+    # distinct bit pattern, so 0.0 and -0.0 keep their own text
+    bits, loss_of = np.unique(np.ascontiguousarray(losses, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = [repr(x) for x in bits.view(float).tolist()]
     lengths = np.asarray(lengths, dtype=np.int64).tolist()
-    rows = [f"{j},{loss!r},{t}" for j, loss, t in zip(range(len(losses)), losses, lengths)]
+    rows = [f"{j},{text[i]},{t}" for j, i, t in zip(range(len(lengths)), loss_of.tolist(), lengths)]
     path.write_text("\n".join(["episode,loss,T", *rows]) + "\n", encoding="utf-8")
 
 

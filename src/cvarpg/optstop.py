@@ -17,9 +17,15 @@ policy its decision states (k < T), the critic interior and terminal
 states. The feature maps serve two kinds of caller.
 A batched rollout (the hot path of the trajectory gradient and of
 evaluation) draws all of its episodes' uniforms in one vectorized pass
-(``seeding.substream_uniforms``) and, at each step, featurizes the
-policy once per distinct cost among the alive episodes, so its Python
-work grows with the distinct states, not with the episodes. The
+(``seeding.substream_uniforms``) and walks the reachable-cost table
+(``cost_table``): every cost float a step can hold, with its successors.
+Path order moves the last bits of a cost product, so the table holds
+those float variants, not only the lattice nodes: 661 decision rows on
+criterion 6's instance and 767 on the defaults at T = 20, about 12.7 k
+at T = 50. A step's rows are featurized when a rollout first reaches
+the step: a raw map keeps them for its lifetime (about 0.36 MB at
+T = 20 with 34 weights), a budget-aware rollout builds its own. So a
+rollout's Python work grows with the table, not with the episodes. The
 actor-critic steps one state at a time, and its traffic rarely repeats a
 state, so there the cost of one call is what counts: ``per_action`` and
 the critic features clamp one state's coordinates in plain Python
@@ -29,6 +35,7 @@ the same features bit for bit.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +191,9 @@ class OptStopPolicyFeatures(_StateFeatures):
         self.scale = float(scale)
         self.n_actions = 2
         self.dim = self.n_actions * self.rbf.n_features
+        # raw rollouts' features of each step block of ``cost_table(params)``,
+        # built when a rollout first reaches the step and kept
+        self._table_blocks: dict[OptStopParams, list] = {}
 
     def per_action(self, state) -> np.ndarray:
         """Features of one decision state, (2, dim)."""
@@ -255,6 +265,31 @@ class OptStopCriticFeatures(_StateFeatures):
         return self(AugState(self._x0, s))
 
 
+@functools.lru_cache(maxsize=16)
+def cost_table(params: OptStopParams) -> tuple[tuple, tuple, tuple]:
+    """Every cost float a rollout can hold, step by step, and its two successors.
+
+    Returns (costs, up, down). ``costs[k]`` holds the sorted distinct
+    floats reachable from c0 after k waits, k = 0..T:
+    ``S_{k+1} = unique(S_k f_u | S_k f_d)``, the very products a simulated
+    cost takes, so the table holds every float variant that path order
+    makes. ``up[k][i]`` / ``down[k][i]`` is the index in ``costs[k + 1]``
+    of ``costs[k][i] * f_u`` / ``* f_d``. Built on first use and kept; its
+    arrays are read-only, as callers share them.
+    """
+    costs, up, down = [np.array([params.c0])], [], []
+    for _ in range(params.T):
+        c = costs[-1]
+        nxt, inv = np.unique(np.concatenate([c * params.f_u, c * params.f_d]),
+                             return_inverse=True)
+        costs.append(nxt)
+        up.append(inv[:c.size])
+        down.append(inv[c.size:])
+    for a in (*costs, *up, *down):
+        a.flags.writeable = False
+    return tuple(costs), tuple(up), tuple(down)
+
+
 @dataclass
 class BatchRollouts:
     """Lockstep simulation results for a batch of episodes."""
@@ -279,43 +314,53 @@ def _rollout(
     Episode j draws its uniforms from ``substream(seed, *path, j)``:
     position 2k for its step-k action and 2k+1 for the cost move, the order
     of the sequential rollout, so batched and per-episode simulation agree
-    bit for bit. Every alive episode has waited at each earlier step, so
-    all share step k's budget, ``OptStopParams.budgets(s0)[k]``. At each
-    step the policy is featurized, and its softmax and scores computed,
-    once per distinct cost among the alive episodes; each episode then
-    draws its own action.
+    bit for bit. Each alive episode carries its node, the index of its cost
+    in step k's block of ``cost_table``, and moves along the table's
+    successor indices. Every alive episode has waited at each earlier step,
+    so all share step k's budget, ``OptStopParams.budgets(s0)[k]``. At each
+    step the policy's softmax, and its scores, are computed once per float
+    of step k's block and gathered by node; each episode then draws its own
+    action. A block's features are built when a rollout first reaches its
+    step: a raw map keeps them for its lifetime, as they never change,
+    while a budget-aware rollout builds its own, as the budget follows s0.
     """
     p = env.params
     theta = np.asarray(theta, dtype=float)
     u = substream_uniforms(seed, path, n, 2 * p.T)
-    idx = np.arange(n)       # alive episodes
-    c = np.full(n, p.c0)     # their costs
+    step_costs, up, down = cost_table(p)
+    idx = np.arange(n)                   # alive episodes
+    node = np.zeros(n, dtype=np.intp)    # their costs' indices in step k's block
     s = p.budgets(s0) if s0 is not None and feats.include_s else None  # their budget per step
+    kept = feats._table_blocks.setdefault(p, [None] * p.T) if s is None else None
     losses = np.zeros(n)
     scores = np.zeros((n, theta.size if with_scores else 0))
     lengths = np.zeros(n, dtype=np.int64)
     disc = 1.0
     for k in range(p.T + 1):
+        costs = step_costs[k]
         if k < p.T:
-            costs, inv = np.unique(c, return_inverse=True)
-            budget = None if s is None else np.full(costs.size, s[k])
-            fa = feats.per_action_batch(costs, k, budget)  # (distinct, 2, dim)
+            if s is None:  # a raw map's features of a step never change, so it keeps them
+                fa = kept[k]
+                if fa is None:
+                    fa = kept[k] = feats.per_action_batch(costs, k)  # (floats, 2, dim)
+            else:  # the budget follows s0
+                fa = feats.per_action_batch(costs, k, np.full(costs.size, s[k]))
             probs = action_probabilities(theta, fa)
-            act = sample_action(probs[inv], u[idx, 2 * k])
+            act = sample_action(probs[node], u[idx, 2 * k])
             if with_scores:
-                scores[idx] += action_scores(fa, probs)[inv, act]
+                scores[idx] += action_scores(fa, probs)[node, act]
             accepted = act == ACCEPT
         else:  # the horizon forces acceptance
             accepted = np.ones(idx.size, dtype=bool)
         acc_idx = idx[accepted]
-        losses[acc_idx] += disc * c[accepted]
+        losses[acc_idx] += disc * costs[node[accepted]]
         lengths[acc_idx] = k + 1
         waiting = ~accepted
-        idx, c = idx[waiting], c[waiting]
+        idx, node = idx[waiting], node[waiting]
         if idx.size == 0:
             break
         losses[idx] += disc * p.p_h
-        c *= np.where(u[idx, 2 * k + 1] < p.p, p.f_u, p.f_d)
+        node = np.where(u[idx, 2 * k + 1] < p.p, up[k][node], down[k][node])
         disc *= p.gamma
     return BatchRollouts(losses, scores, lengths)
 

@@ -8,9 +8,9 @@ with the analytic likelihood-ratio gradient
 
 Features have shape (..., n_actions, dim): one decision is an
 (n_actions, dim) matrix, and any leading axes are a batch of decisions
-(the rollout kernel's distinct costs, the lattice's nodes). A caller
-computes the probabilities of a decision once and passes them to both
-the draw and the score.
+(a step block of the rollout kernel's cost table, the lattice's nodes).
+A caller computes the probabilities of a decision once and passes them
+to both the draw and the score.
 """
 from __future__ import annotations
 

@@ -223,6 +223,19 @@ def test_report_metrics_match_recomputation_from_csv(tmp_path):
     assert len(counts) == cfg.output_histogram_bins
 
 
+def test_losses_csv_writes_each_loss_as_its_repr(tmp_path):
+    # repeated losses share one formatting, and 0.0 and -0.0 keep their own text
+    losses = np.array([0.1 + 0.2, -0.0, 0.0, 1 / 3, 0.1 + 0.2, -0.0, 5e-324, 1e22])
+    lengths = np.arange(1, losses.size + 1)
+    path = tmp_path / "losses.csv"
+    for x, t in ((losses, lengths), (losses[1::2], lengths[1::2])):  # and a strided view
+        harness.write_losses_csv(path, x, t)
+        rows = [f"{j},{float(loss)!r},{n}" for j, (loss, n) in enumerate(zip(x, t))]
+        assert path.read_text() == "\n".join(["episode,loss,T", *rows]) + "\n"
+    harness.write_losses_csv(path, losses, lengths)
+    assert path.read_text().splitlines()[2:4] == ["1,-0.0,2", "2,0.0,3"]
+
+
 def test_default_config_pins_published_constants():
     cfg = ExperimentConfig().validate()
     assert (cfg.env_c0, cfg.env_p_h, cfg.env_T) == (1.0, 0.1, 20)
@@ -331,6 +344,18 @@ def test_cli_enumerate_oracle(tmp_path):
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+# config values the run cannot use, each refused by validation before the warm-up
+BAD_VALUES = {
+    "policy-centers-0": "features.policy_centers = 0",
+    "critic-centers-0": "features.critic_centers = 0",
+    "rel-tol-negative": "train.rel_tol = -1",
+    "lambda-margin-1": "train.lambda_margin = 1",
+    "lambda-margin-negative": "train.lambda_margin = -0.5",
+    "theta-bound-negative": "policy.theta_bound = -1",
+    "c-max-negative": "env.c_max = -1",
+}
+
+
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """Config, params.json and report.txt files, good and bad, of an untrained PG policy."""
@@ -358,6 +383,8 @@ def input_files(tmp_path_factory):
     (root / "small.cfg").write_text("algorithm = PG\nenv.T = 8\n")
     (root / "window1.cfg").write_text("algorithm = PG\nenv.T = 8\ntrain.window = 1\n")
     (root / "undiscounted.cfg").write_text("algorithm = PG\nenv.T = 8\nenv.gamma = 1.0\n")
+    for name, line in BAD_VALUES.items():
+        (root / f"{name}.cfg").write_text(f"algorithm = PG_CVAR\nenv.T = 8\n{line}\n")
     return root
 
 
@@ -376,6 +403,7 @@ BAD_INPUTS = {
     "train-zero-episodes": ["train", "--config", "small.cfg", "--eval-episodes", "0"],
     "train-window-1": ["train", "--config", "window1.cfg"],
     "oracle-undiscounted": ["enumerate-oracle", "--config", "undiscounted.cfg"],  # RiskSpec
+    **{f"train-{name}": ["train", "--config", f"{name}.cfg"] for name in BAD_VALUES},
 }
 
 
@@ -400,12 +428,13 @@ def test_cli_refuses_bad_input_before_any_work(case, input_files, monkeypatch, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workload", ["oracle", "pg_train", "ac_train"])
+@pytest.mark.parametrize("workload", ["oracle", "pg_train", "ac_train", "eval_large"])
 def test_bench_oracle_workload_runs_traced(workload):
     # traced mode wraps every library name the benchmark lists, so a rename
     # or signature change that would break the benchmark fails here; the
     # training workloads run the wrapped policy names inside the rollout
-    # kernel and the actor-critic loop
+    # kernel and the actor-critic loop, and eval_large runs the budget-aware
+    # 50 000-episode evaluation through the node-loss and Monte Carlo checks
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--trace", "1"],
         capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarpg.errors import InputError
 from cvarpg.features import AxisScale
@@ -14,13 +16,14 @@ from cvarpg.optstop import (
     OptStopParams,
     OptStopPolicyFeatures,
     OptStopState,
+    cost_table,
     enumerate_loss_distribution,
     rollout_batch,
     rollout_batch_augmented,
 )
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.schedules import Box
-from cvarpg.seeding import substream
+from cvarpg.seeding import substream, substream_uniforms
 from oracles import discounted_loss, enumerate_trajectories, rollout, trade_off_certificate
 
 PAPER = OptStopParams()  # c0=1, p_h=0.1, T=20, f_u=1.5, f_d=0.8, p=0.65, gamma=0.95
@@ -358,6 +361,113 @@ def test_rollouts_featurize_each_distinct_cost_once(monkeypatch, augmented):
             assert traj.length == batch.lengths[j]
         assert np.array_equal(traj.score, batch.scores[j])
     assert batch.lengths.max() == params.T + 1
+
+
+def _assert_equals_sequential(batch, env, feats, theta, s0, seed, path):
+    """Each batch episode is the sequential rollout of its own substream, bit for bit."""
+    params = env.params
+    if s0 is not None:
+        env = AugmentedEnv(env, 1.3, RiskSpec(0.9, 1.9, 100.0, params.gamma),
+                           AugmentedCostMode.STANDARD, s0=s0)
+    for j in range(batch.lengths.size):
+        traj = rollout(env, feats, theta, substream(seed, *path, j), params.T + 2, params.gamma)
+        if s0 is not None:  # the augmented episode ends with its terminal penalty
+            assert discounted_loss(traj.costs[:-1], params.gamma) == batch.losses[j]
+            assert traj.length - 1 == batch.lengths[j]
+        else:
+            assert traj.loss == batch.losses[j]
+            assert traj.length == batch.lengths[j]
+        assert np.array_equal(traj.score, batch.scores[j])
+
+
+@settings(deadline=None, max_examples=40)
+@given(f_u=st.floats(1.01, 2.5), f_d=st.floats(0.3, 0.99), p=st.floats(0.05, 0.95),
+       gamma=st.floats(0.5, 0.999), T=st.integers(1, 10), augmented=st.booleans(),
+       wait_lean=st.floats(-2.0, 6.0), seed=st.integers(0, 2**31 - 1))
+def test_batch_episodes_equal_sequential_rollouts(f_u, f_d, p, gamma, T, augmented, wait_lean,
+                                                  seed):
+    params = OptStopParams(T=T, f_u=f_u, f_d=f_d, p=p, gamma=gamma)
+    env = OptStopEnv(params)
+    feats = OptStopPolicyFeatures(params, include_s=augmented, s_range=(0.0, 16.0))
+    theta = np.random.default_rng(seed).normal(0.0, 1.0, feats.dim)
+    theta[-1] += wait_lean
+    s0 = 1.7 if augmented else None
+    if augmented:
+        batch = rollout_batch_augmented(env, feats, theta, s0, seed, ("hyp",), 24)
+    else:
+        batch = rollout_batch(env, feats, theta, seed, ("hyp",), 24)
+    _assert_equals_sequential(batch, env, feats, theta, s0, seed, ("hyp",))
+
+
+def test_raw_map_featurizes_each_step_once_for_its_lifetime(monkeypatch):
+    params = OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)  # criterion 6's instance
+    env = OptStopEnv(params)
+    raw = OptStopPolicyFeatures(params)
+    aware = OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0))
+    theta = np.random.default_rng(13).normal(0.0, 0.5, raw.dim)
+    theta[-1] += 3.0  # lean to wait, so the first rollout reaches every step
+    calls = []
+    per_action_batch = OptStopPolicyFeatures.per_action_batch
+
+    def recording(self, c, k, s=None):
+        calls.append((self.include_s, k))
+        return per_action_batch(self, c, k, s)
+
+    monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", recording)
+    first = rollout_batch(env, raw, theta, 41, ("raw",), 400)
+    assert first.lengths.max() == params.T + 1
+    assert calls == [(False, k) for k in range(params.T)]
+    calls.clear()
+    theta2 = theta + np.random.default_rng(14).normal(0.0, 0.5, raw.dim)
+    second = rollout_batch(env, raw, theta2, 42, ("raw",), 300)
+    assert calls == []
+    monkeypatch.undo()
+    _assert_same_episodes(second, rollout_batch(env, OptStopPolicyFeatures(params), theta2, 42,
+                                                ("raw",), 300))
+    _assert_equals_sequential(second, env, raw, theta2, None, 42, ("raw",))
+
+    # a budget-aware rollout builds its own blocks: the budget follows s0
+    theta = np.random.default_rng(15).normal(0.0, 0.5, aware.dim)
+    theta[-1] += 3.0
+    monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", recording)
+    for s0 in (1.7, 2.5):
+        calls.clear()
+        batch = rollout_batch_augmented(env, aware, theta, s0, 43, ("aware",), 200)
+        assert calls == [(True, k) for k in range(min(batch.lengths.max(), params.T))]
+    monkeypatch.undo()
+    _assert_equals_sequential(batch, env, aware, theta, 2.5, 43, ("aware",))
+
+
+@pytest.mark.parametrize("params,decision_floats", [
+    (OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4), 661),  # criterion 6's instance
+    (PAPER, 767),
+])
+def test_cost_table_holds_every_simulated_cost(params, decision_floats):
+    assert cost_table(params) is cost_table(params)
+    costs, up, down = cost_table(params)
+    assert len(costs) == params.T + 1 and len(up) == len(down) == params.T
+    assert sum(c.size for c in costs[:params.T]) == decision_floats
+    for k in range(params.T):
+        assert np.all(np.diff(costs[k]) > 0.0)
+        assert np.array_equal(costs[k + 1][up[k]], costs[k] * params.f_u)
+        assert np.array_equal(costs[k + 1][down[k]], costs[k] * params.f_d)
+    # an all-wait batch: the accept probability underflows to 0, so every
+    # episode walks the cost moves of its substream to the horizon
+    feats = OptStopPolicyFeatures(params)
+    theta = np.zeros(feats.dim)
+    theta[-1] = 1000.0
+    n, seed, path = 6000, 51, ("wait",)
+    batch = rollout_batch(OptStopEnv(params), feats, theta, seed, path, n, with_scores=False)
+    assert np.all(batch.lengths == params.T + 1)
+    u = substream_uniforms(seed, path, n, 2 * params.T)
+    c, losses, disc = np.full(n, params.c0), np.zeros(n), 1.0
+    for k in range(params.T):
+        assert np.isin(c, costs[k]).all()
+        losses += disc * params.p_h
+        c *= np.where(u[:, 2 * k + 1] < params.p, params.f_u, params.f_d)
+        disc *= params.gamma
+    assert np.isin(c, costs[params.T]).all()
+    assert np.array_equal(batch.losses, losses + disc * c)
 
 
 @pytest.mark.parametrize("augmented", [False, True])
