@@ -93,10 +93,9 @@ def critic_feature_map(config: ExperimentConfig, include_s: bool) -> OptStopCrit
 
 def warmup_quantile(config: ExperimentConfig, seed: int, alpha: float) -> float:
     """Empirical alpha-quantile of losses under the untrained policy."""
-    env = OptStopEnv(config.env_params())
     feats = policy_feature_map(config, include_s=False)
     theta0 = np.zeros(feats.dim)
-    batch = rollout_batch(env, feats, theta0, seed, ("warmup",), config.train_warmup_rollouts,
+    batch = rollout_batch(feats, theta0, seed, ("warmup",), config.train_warmup_rollouts,
                           with_scores=False)
     return value_at_risk(EmpiricalDistribution(batch.losses), alpha)
 
@@ -105,7 +104,6 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
     spec = algorithm_spec(config.algorithm)
     risk_neutral = spec.risk_neutral
     risk = config.risk_spec()
-    env = OptStopEnv(config.env_params())
     nu0 = 0.0 if risk_neutral else warmup_quantile(config, seed, risk.alpha)
     lam0 = 0.0 if risk_neutral else 1.0
     controller = CapController(risk.lambda_max, config.train_window, config.train_rel_tol,
@@ -117,7 +115,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         n = config.pg_batch_size
 
         def sampler(theta, round_idx, iter_idx):
-            batch = rollout_batch(env, feats, theta, seed, ("pg", round_idx, iter_idx), n)
+            batch = rollout_batch(feats, theta, seed, ("pg", round_idx, iter_idx), n)
             return batch.losses, batch.scores
 
         result = pg_train(
@@ -138,7 +136,7 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
         if spec.ac_variant is AcVariant.ALTERNATIVE_TWO_CRITIC:
             orig_cfeats = critic_feature_map(config, include_s=False)
         result = ac_train(
-            env,
+            OptStopEnv(config.env_params()),
             feats,
             cfeats,
             Iterate(np.zeros(feats.dim), nu0, lam0, np.zeros(cfeats.dim)),
@@ -166,7 +164,6 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
 def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
                     episodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Roll the learned policy out; returns (losses, episode lengths)."""
-    env = OptStopEnv(config.env_params())
     spec = algorithm_spec(trained.algorithm)
     feats = policy_feature_map(config, include_s=spec.budget_aware,
                                incremental=spec.ac_variant is not None)
@@ -174,11 +171,10 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
         raise InputError(f"theta has shape {trained.theta.shape}; the config's policy map "
                          f"needs ({feats.dim},)")
     if spec.budget_aware:
-        batch = rollout_batch_augmented(env, feats, trained.theta, trained.nu, seed, ("eval",),
+        batch = rollout_batch_augmented(feats, trained.theta, trained.nu, seed, ("eval",),
                                         episodes, with_scores=False)
     else:
-        batch = rollout_batch(env, feats, trained.theta, seed, ("eval",), episodes,
-                              with_scores=False)
+        batch = rollout_batch(feats, trained.theta, seed, ("eval",), episodes, with_scores=False)
     return batch.losses, batch.lengths
 
 

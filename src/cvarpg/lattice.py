@@ -30,23 +30,25 @@ from .risk import EmpiricalDistribution
 
 
 class StoppingLattice:
-    """Node losses of the stopping problem with exact forward and backward passes."""
+    """Node losses of the stopping problem with exact forward and backward passes.
+
+    Node (k, u) has loss fees[k] + disc[k] cost[k, u], with the loss prefix
+    that the Monte Carlo rollout kernel shares,
+    ``params.fees_and_discounts()``.
+    """
 
     def __init__(self, params):
         self.params = params
         T = params.T
         self.valid = np.arange(T + 1)[None, :] <= np.arange(T + 1)[:, None]
-        # summed as a rollout sums along the path that takes a node's
+        # a node's cost is the product along the path that takes its
         # down-moves first, so that path's loss is the node loss bit for bit
         cost = np.zeros((T + 1, T + 1))
         cost[0, 0] = params.c0
-        fees = np.zeros(T + 1)
-        disc = np.ones(T + 1)
         for k in range(T):
             cost[k + 1, 0] = cost[k, 0] * params.f_d
             cost[k + 1, 1:k + 2] = cost[k, :k + 1] * params.f_u
-            fees[k + 1] = fees[k] + disc[k] * params.p_h
-            disc[k + 1] = disc[k] * params.gamma
+        fees, disc = params.fees_and_discounts()
         self.cost = cost
         self.loss = np.where(self.valid, fees[:, None] + disc[:, None] * cost, 0.0)
         self.node_losses = np.unique(self.loss[self.valid])

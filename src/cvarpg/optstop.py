@@ -9,23 +9,23 @@ Besides the step API this module provides the feature maps, batched
 lockstep rollouts and the exact loss distribution of a fixed policy at
 any horizon, from the recombining cost lattice of
 ``lattice.StoppingLattice``. ``OptStopParams`` holds the geometry that
-all of them read: the cost envelope (``cost_range``) and the budget at
-each decision step (``budgets``). The policy and critic feature maps
-share one base, the same unit coordinates of a state and one RBF grid
-over them, and they featurize only the states their callers reach: the
-policy its decision states (k < T), the critic interior and terminal
-states. The feature maps serve two kinds of caller.
+all of them read: the cost envelope (``cost_range``), the budget at each
+decision step (``budgets``) and the loss prefix (``fees_and_discounts``).
+The policy and critic feature maps share one base, the same unit
+coordinates of a state and one RBF grid over them, and they featurize
+only the states their callers reach: the policy its decision states
+(k < T), the critic interior and terminal states. The feature maps serve
+two kinds of caller.
 A batched rollout (the hot path of the trajectory gradient and of
-evaluation) draws all of its episodes' uniforms in one vectorized pass
-(``seeding.substream_uniforms``) and walks the reachable-cost table
-(``cost_table``): every cost float a step can hold, with its successors.
-Path order moves the last bits of a cost product, so the table holds
-those float variants, not only the lattice nodes: 661 decision rows on
-criterion 6's instance and 767 on the defaults at T = 20, about 12.7 k
-at T = 50. A step's rows are featurized when a rollout first reaches
-the step: a raw map keeps them for its lifetime (about 0.36 MB at
-T = 20 with 34 weights), a budget-aware rollout builds its own. So a
-rollout's Python work grows with the table, not with the episodes. The
+evaluation) takes the policy map alone and solves the map's problem,
+``feats.params``. It draws all of its episodes' uniforms in one
+vectorized pass (``seeding.substream_uniforms``), walks the
+reachable-cost table (``cost_table``), every cost float a step can hold
+with its successors, and writes each loss from the loss prefix that the
+lattice shares (``OptStopParams.fees_and_discounts``). A step's rows are
+featurized when a rollout first reaches the step: a raw map keeps them
+for its lifetime, a budget-aware rollout builds its own. So a rollout's
+Python work grows with the table, not with the episodes. The
 actor-critic steps one state at a time, and its traffic rarely repeats a
 state, so there the cost of one call is what counts: ``per_action`` and
 the critic features clamp one state's coordinates in plain Python
@@ -36,6 +36,7 @@ the same features bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,13 @@ class OptStopParams:
             raise InputError(f"gamma must be in (0,1], got {self.gamma}")
         if self.T < 1 or self.c0 <= 0.0:
             raise InputError("need T >= 1 and c0 > 0")
+        try:
+            lo, hi = self.cost_range()
+        except OverflowError:
+            lo, hi = 0.0, math.inf
+        if not (lo > 0.0 and hi < math.inf):
+            raise InputError(f"the cost envelope c0 f_d^T .. c0 f_u^T leaves the float range "
+                             f"at T={self.T}, f_u={self.f_u}, f_d={self.f_d}")
 
     def cost_range(self) -> tuple[float, float]:
         """The envelope (c0 f_d^T, c0 f_u^T) of every cost the episode can reach."""
@@ -89,6 +97,11 @@ class OptStopParams:
         for k in range(1, self.T):
             s[k] = (s[k - 1] - self.p_h) / self.gamma
         return s
+
+    def fees_and_discounts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Discounted holding fees paid before step k, and gamma^k, k = 0..T, in step order."""
+        disc = np.cumprod(np.concatenate([[1.0], np.full(self.T, self.gamma)]))
+        return np.concatenate([[0.0], np.cumsum(disc[:-1] * self.p_h)]), disc
 
     def loss_upper_bound(self) -> float:
         """Analytic envelope on any episode loss (holding fees + worst accept)."""
@@ -193,7 +206,7 @@ class OptStopPolicyFeatures(_StateFeatures):
         self.dim = self.n_actions * self.rbf.n_features
         # raw rollouts' features of each step block of ``cost_table(params)``,
         # built when a rollout first reaches the step and kept
-        self._table_blocks: dict[OptStopParams, list] = {}
+        self._table_blocks: list = [None] * params.T
 
     def per_action(self, state) -> np.ndarray:
         """Features of one decision state, (2, dim)."""
@@ -276,6 +289,15 @@ def cost_table(params: OptStopParams) -> tuple[tuple, tuple, tuple]:
     makes. ``up[k][i]`` / ``down[k][i]`` is the index in ``costs[k + 1]``
     of ``costs[k][i] * f_u`` / ``* f_d``. Built on first use and kept; its
     arrays are read-only, as callers share them.
+
+    Path order moves the last bits of a cost product, so the table holds
+    those float variants, not only the lattice nodes, and it grows much
+    faster than the lattice with T. On the defaults its T decision steps
+    hold 767 rows at T = 20, 12 652 at T = 50, 106 809 at T = 100 and
+    909 862 at T = 200 (661 at T = 20 on criterion 6's instance). A raw
+    map that waits to the horizon keeps 68 doubles a row with the shipped
+    34-weight policy: 0.4 MB at T = 20, 495 MB at T = 200. The table
+    itself grows about as T^3, to 22 MB at T = 200.
     """
     costs, up, down = [np.array([params.c0])], [], []
     for _ in range(params.T):
@@ -300,7 +322,6 @@ class BatchRollouts:
 
 
 def _rollout(
-    env: OptStopEnv,
     feats: OptStopPolicyFeatures,
     theta: np.ndarray,
     s0: float | None,
@@ -311,38 +332,40 @@ def _rollout(
 ) -> BatchRollouts:
     """Lockstep kernel behind both public rollouts; ``s0=None`` is the raw env.
 
-    Episode j draws its uniforms from ``substream(seed, *path, j)``:
-    position 2k for its step-k action and 2k+1 for the cost move, the order
-    of the sequential rollout, so batched and per-episode simulation agree
-    bit for bit. Each alive episode carries its node, the index of its cost
-    in step k's block of ``cost_table``, and moves along the table's
-    successor indices. Every alive episode has waited at each earlier step,
-    so all share step k's budget, ``OptStopParams.budgets(s0)[k]``. At each
-    step the policy's softmax, and its scores, are computed once per float
-    of step k's block and gathered by node; each episode then draws its own
-    action. A block's features are built when a rollout first reaches its
-    step: a raw map keeps them for its lifetime, as they never change,
-    while a budget-aware rollout builds its own, as the budget follows s0.
+    The problem is the policy map's own, ``feats.params``. Episode j draws
+    its uniforms from ``substream(seed, *path, j)``: position 2k for its
+    step-k action and 2k+1 for the cost move, the order of the sequential
+    rollout, so batched and per-episode simulation agree bit for bit. Each
+    alive episode carries its node, the index of its cost in step k's block
+    of ``cost_table``, and moves along the table's successor indices. Every
+    alive episode has waited at each earlier step, so all share step k's
+    budget, ``OptStopParams.budgets(s0)[k]``. At each step the policy's
+    softmax, and its scores, are computed once per float of step k's block
+    and gathered by node; each episode then draws its own action. A block's
+    features are built when a rollout first reaches its step: a raw map
+    keeps them for its lifetime, as they never change, while a budget-aware
+    rollout builds its own, as the budget follows s0. An episode that
+    accepts cost c at step k gets its loss once, fees[k] + disc[k] c, from
+    the prefix the lattice shares (``OptStopParams.fees_and_discounts``).
     """
-    p = env.params
+    p = feats.params
     theta = np.asarray(theta, dtype=float)
     u = substream_uniforms(seed, path, n, 2 * p.T)
     step_costs, up, down = cost_table(p)
+    fees, disc = p.fees_and_discounts()
     idx = np.arange(n)                   # alive episodes
     node = np.zeros(n, dtype=np.intp)    # their costs' indices in step k's block
     s = p.budgets(s0) if s0 is not None and feats.include_s else None  # their budget per step
-    kept = feats._table_blocks.setdefault(p, [None] * p.T) if s is None else None
     losses = np.zeros(n)
     scores = np.zeros((n, theta.size if with_scores else 0))
     lengths = np.zeros(n, dtype=np.int64)
-    disc = 1.0
     for k in range(p.T + 1):
         costs = step_costs[k]
         if k < p.T:
             if s is None:  # a raw map's features of a step never change, so it keeps them
-                fa = kept[k]
-                if fa is None:
-                    fa = kept[k] = feats.per_action_batch(costs, k)  # (floats, 2, dim)
+                fa = feats._table_blocks[k]
+                if fa is None:  # (floats, 2, dim)
+                    fa = feats._table_blocks[k] = feats.per_action_batch(costs, k)
             else:  # the budget follows s0
                 fa = feats.per_action_batch(costs, k, np.full(costs.size, s[k]))
             probs = action_probabilities(theta, fa)
@@ -353,20 +376,17 @@ def _rollout(
         else:  # the horizon forces acceptance
             accepted = np.ones(idx.size, dtype=bool)
         acc_idx = idx[accepted]
-        losses[acc_idx] += disc * costs[node[accepted]]
+        losses[acc_idx] = fees[k] + disc[k] * costs[node[accepted]]
         lengths[acc_idx] = k + 1
         waiting = ~accepted
         idx, node = idx[waiting], node[waiting]
         if idx.size == 0:
             break
-        losses[idx] += disc * p.p_h
         node = np.where(u[idx, 2 * k + 1] < p.p, up[k][node], down[k][node])
-        disc *= p.gamma
     return BatchRollouts(losses, scores, lengths)
 
 
 def rollout_batch(
-    env: OptStopEnv,
     feats: OptStopPolicyFeatures,
     theta: np.ndarray,
     seed: int,
@@ -379,11 +399,10 @@ def rollout_batch(
     ``with_scores=False`` skips the likelihood-ratio scores, which only
     gradient estimates read; ``scores`` is then an empty (n, 0) array.
     """
-    return _rollout(env, feats, theta, None, seed, path, n, with_scores)
+    return _rollout(feats, theta, None, seed, path, n, with_scores)
 
 
 def rollout_batch_augmented(
-    env: OptStopEnv,
     feats: OptStopPolicyFeatures,
     theta: np.ndarray,
     s0: float,
@@ -397,7 +416,7 @@ def rollout_batch_augmented(
     Losses reported are the raw environment losses D, without the terminal
     penalty. ``with_scores`` is as in ``rollout_batch``.
     """
-    return _rollout(env, feats, theta, float(s0), seed, path, n, with_scores)
+    return _rollout(feats, theta, float(s0), seed, path, n, with_scores)
 
 
 def enumerate_loss_distribution(

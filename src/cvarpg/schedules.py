@@ -165,8 +165,8 @@ class CapController:
     Both learners descend in (theta, nu) and ascend in lambda, projected
     by ``lam_box`` into [0, lambda_max]. ``run`` calls the learner's step
     once per round and passes each new iterate to ``observe``, which keeps
-    the histories of the current cap, tests whether the parameters have
-    settled over the trailing window and asks ``lambda_max_controller`` for
+    the trailing window of the current cap's histories, tests whether the
+    parameters have settled over it and asks ``lambda_max_controller`` for
     a decision. On DOUBLE it rebuilds ``lam_box`` with twice the cap and
     starts afresh, and ``run`` restarts the step index at 1. A risk-neutral
     run keeps lambda at zero, so it never doubles and is accepted as soon
@@ -189,8 +189,12 @@ class CapController:
         return self.lam_box.hi
 
     def observe(self, theta: np.ndarray, nu: float, lam: float) -> Decision:
+        # keep only what the convergence tests read: the trailing window of
+        # multipliers and the window + 1 iterates of one relative change
         self._lam_history.append(lam)
+        del self._lam_history[:-self.window]
         self._param_history.append(np.concatenate([theta, [nu, lam]]))
+        del self._param_history[:-(self.window + 1)]
         settled = (
             len(self._param_history) >= self.window
             and relative_change(self._param_history, self.window) < self.rel_tol

@@ -24,7 +24,7 @@ from cvarpg.harness import (
     report_to_text,
     run_experiment,
 )
-from cvarpg.optstop import OptStopEnv, rollout_batch, rollout_batch_augmented
+from cvarpg.optstop import rollout_batch, rollout_batch_augmented
 from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
 
 
@@ -169,14 +169,13 @@ def test_evaluation_is_one_kernel_call(monkeypatch):
     sizes = []
 
     def counted(*args, **kwargs):
-        sizes.append(args[5])  # the episode count
+        sizes.append(args[4])  # the episode count
         return rollout_batch(*args, **kwargs)
 
     monkeypatch.setattr(harness, "rollout_batch", counted)
     losses, lengths = evaluate_policy(cfg, trained, seed=5, episodes=60)
     assert sizes == [60]
-    direct = rollout_batch(OptStopEnv(cfg.env_params()), feats, theta, 5, ("eval",), 60,
-                           with_scores=False)
+    direct = rollout_batch(feats, theta, 5, ("eval",), 60, with_scores=False)
     assert np.array_equal(losses, direct.losses)
     assert np.array_equal(lengths, direct.lengths)
 
@@ -198,8 +197,7 @@ def test_risk_neutral_ac_evaluation_is_one_budget_blind_rollout(monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     losses, lengths = evaluate_policy(cfg, trained, seed=5, episodes=60)
     assert len(calls) == 1
-    direct = rollout_batch_augmented(OptStopEnv(cfg.env_params()), feats, theta, 0.0, 5,
-                                     ("eval",), 60, with_scores=False)
+    direct = rollout_batch_augmented(feats, theta, 0.0, 5, ("eval",), 60, with_scores=False)
     assert np.array_equal(losses, direct.losses)
     assert np.array_equal(lengths, direct.lengths)
 
@@ -353,6 +351,8 @@ BAD_VALUES = {
     "lambda-margin-negative": "train.lambda_margin = -0.5",
     "theta-bound-negative": "policy.theta_bound = -1",
     "c-max-negative": "env.c_max = -1",
+    "cost-envelope-overflows": "env.f_u = 1e200",  # c0 f_u^T past the largest float
+    "cost-envelope-underflows": "env.f_d = 1e-300",  # c0 f_d^T rounds to 0
 }
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,14 @@ def test_params_validation():
         OptStopParams(p_h=-0.1)
     with pytest.raises(InputError):
         OptStopParams(T=0)
+    # a cost envelope c0 f_d^T .. c0 f_u^T outside the float range
+    with pytest.raises(InputError, match="T=2000"):
+        OptStopParams(T=2000)
+    with pytest.raises(InputError, match="f_u=1e[+]200"):
+        OptStopParams(T=3, f_u=1e200)
+    with pytest.raises(InputError, match="f_d=1e-300"):
+        OptStopParams(T=2, f_d=1e-300)
+    assert OptStopParams(T=1750).cost_range()[1] < np.inf  # the defaults' longest horizon
 
 
 def test_accept_ends_episode():
@@ -121,13 +131,12 @@ def test_enumeration_budget_guard():
 
 def test_enumerate_uniform_matches_monte_carlo():
     params = OptStopParams(T=3)
-    env = OptStopEnv(params)
     feats = OptStopPolicyFeatures(params)
     theta = np.zeros(feats.dim)
     dist = enumerate_loss_distribution(feats, theta, params)
     assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
     n = 1_000_000
-    batch = rollout_batch(env, feats, theta, 21, ("mc",), n, with_scores=False)
+    batch = rollout_batch(feats, theta, 21, ("mc",), n, with_scores=False)
     # bin the simulated losses at the exact enumerated atoms
     order = np.argsort(dist.samples)
     atoms = dist.samples[order]
@@ -166,6 +175,28 @@ def test_lattice_matches_path_enumeration(params, policy):
     assert cvar(got, 0.9) == pytest.approx(cvar(exact, 0.9), rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [
+    PAPER,
+    OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4),  # criterion 6's instance
+    OptStopParams(T=20, gamma=1.0),
+])
+def test_node_loss_is_its_down_moves_first_path_loss_bit_for_bit(params):
+    lattice = StoppingLattice(params)
+    env = OptStopEnv(params)
+    for k in range(params.T + 1):
+        for u in range(k + 1):
+            # scripted draws: one below p moves the cost up, one at or above it down
+            rng = SimpleNamespace(random=iter([1.0 - 1e-9] * (k - u) + [0.0] * u).__next__)
+            state, costs = env.initial_state(), []
+            for _ in range(k):
+                state, fee, done = env.step(state, WAIT, rng)
+                costs.append(fee)
+                assert not done
+            costs.append(env.step(state, ACCEPT, rng)[1])
+            loss = discounted_loss(costs, params.gamma)
+            assert loss.hex() == float(lattice.loss[k, u]).hex(), (k, u)
+
+
 def test_budget_aware_node_rule_matches_augmented_rollouts():
     params = OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)  # criterion 6's instance
     lattice = StoppingLattice(params)
@@ -177,8 +208,7 @@ def test_budget_aware_node_rule_matches_augmented_rollouts():
     theta[:feats.rbf.n_features - 1] += 3.0 * (feats.rbf.centers[:, 2] - 0.5)
     s0, n, alpha = 5.0, 20_000, 0.9
     exact = lattice.distribution(lattice.node_rule(feats, theta, s0))
-    batch = rollout_batch_augmented(OptStopEnv(params), feats, theta, s0, 3, ("lat",), n,
-                                    with_scores=False)
+    batch = rollout_batch_augmented(feats, theta, s0, 3, ("lat",), n, with_scores=False)
     # every loss is a node loss at its depth (entries past the diagonal are 0)
     gap = np.abs(batch.losses[:, None] - lattice.loss[batch.lengths - 1]).min(axis=1)
     assert np.all(gap <= 1e-12 * batch.losses)
@@ -275,7 +305,7 @@ def test_batch_matches_sequential_rollouts():
     rng = np.random.default_rng(4)
     theta = rng.normal(0, 0.5, feats.dim)
     n = 64
-    batch = rollout_batch(env, feats, theta, 17, ("eq",), n)
+    batch = rollout_batch(feats, theta, 17, ("eq",), n)
     for j in range(n):
         traj = rollout(env, feats, theta, substream(17, "eq", j), 10, 0.95)
         assert traj.loss == batch.losses[j]
@@ -292,7 +322,7 @@ def test_augmented_batch_matches_sequential():
     risk = RiskSpec(0.9, 1.9, 100.0, params.gamma)
     s0 = 1.7
     n = 48
-    batch = rollout_batch_augmented(env, feats, theta, s0, 23, ("aq",), n)
+    batch = rollout_batch_augmented(feats, theta, s0, 23, ("aq",), n)
     aug = AugmentedEnv(env, 1.3, risk, AugmentedCostMode.STANDARD, s0=s0)
     for j in range(n):
         traj = rollout(aug, feats, theta, substream(23, "aq", j), 20, params.gamma)
@@ -307,8 +337,8 @@ def _kernel_and_args(augmented: bool, n: int):
     theta = np.random.default_rng(6).normal(0, 0.8, feats.dim)
     theta[-1] += 4.0  # lean to wait, so episodes end at many different steps
     if augmented:
-        return rollout_batch_augmented, (OptStopEnv(params), feats, theta, 1.7, 29, ("blk",), n)
-    return rollout_batch, (OptStopEnv(params), feats, theta, 29, ("blk",), n)
+        return rollout_batch_augmented, (feats, theta, 1.7, 29, ("blk",), n)
+    return rollout_batch, (feats, theta, 29, ("blk",), n)
 
 
 def _assert_same_episodes(got, want, scores=True):
@@ -335,9 +365,9 @@ def test_rollouts_featurize_each_distinct_cost_once(monkeypatch, augmented):
     monkeypatch.setattr(feats, "per_action_batch", recording)
     n, s0, seed, path = 6000, 1.7, 31, ("dd",)
     if augmented:
-        batch = rollout_batch_augmented(env, feats, theta, s0, seed, path, n)
+        batch = rollout_batch_augmented(feats, theta, s0, seed, path, n)
     else:
-        batch = rollout_batch(env, feats, theta, seed, path, n)
+        batch = rollout_batch(feats, theta, seed, path, n)
     # one call per decision step, on distinct cost floats; path order moves a
     # cost's last bits, so a late step holds more floats than its k + 1 nodes
     assert [k for k, _ in featurized] == list(range(params.T))
@@ -393,9 +423,9 @@ def test_batch_episodes_equal_sequential_rollouts(f_u, f_d, p, gamma, T, augment
     theta[-1] += wait_lean
     s0 = 1.7 if augmented else None
     if augmented:
-        batch = rollout_batch_augmented(env, feats, theta, s0, seed, ("hyp",), 24)
+        batch = rollout_batch_augmented(feats, theta, s0, seed, ("hyp",), 24)
     else:
-        batch = rollout_batch(env, feats, theta, seed, ("hyp",), 24)
+        batch = rollout_batch(feats, theta, seed, ("hyp",), 24)
     _assert_equals_sequential(batch, env, feats, theta, s0, seed, ("hyp",))
 
 
@@ -414,15 +444,15 @@ def test_raw_map_featurizes_each_step_once_for_its_lifetime(monkeypatch):
         return per_action_batch(self, c, k, s)
 
     monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", recording)
-    first = rollout_batch(env, raw, theta, 41, ("raw",), 400)
+    first = rollout_batch(raw, theta, 41, ("raw",), 400)
     assert first.lengths.max() == params.T + 1
     assert calls == [(False, k) for k in range(params.T)]
     calls.clear()
     theta2 = theta + np.random.default_rng(14).normal(0.0, 0.5, raw.dim)
-    second = rollout_batch(env, raw, theta2, 42, ("raw",), 300)
+    second = rollout_batch(raw, theta2, 42, ("raw",), 300)
     assert calls == []
     monkeypatch.undo()
-    _assert_same_episodes(second, rollout_batch(env, OptStopPolicyFeatures(params), theta2, 42,
+    _assert_same_episodes(second, rollout_batch(OptStopPolicyFeatures(params), theta2, 42,
                                                 ("raw",), 300))
     _assert_equals_sequential(second, env, raw, theta2, None, 42, ("raw",))
 
@@ -432,7 +462,7 @@ def test_raw_map_featurizes_each_step_once_for_its_lifetime(monkeypatch):
     monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", recording)
     for s0 in (1.7, 2.5):
         calls.clear()
-        batch = rollout_batch_augmented(env, aware, theta, s0, 43, ("aware",), 200)
+        batch = rollout_batch_augmented(aware, theta, s0, 43, ("aware",), 200)
         assert calls == [(True, k) for k in range(min(batch.lengths.max(), params.T))]
     monkeypatch.undo()
     _assert_equals_sequential(batch, env, aware, theta, 2.5, 43, ("aware",))
@@ -457,7 +487,7 @@ def test_cost_table_holds_every_simulated_cost(params, decision_floats):
     theta = np.zeros(feats.dim)
     theta[-1] = 1000.0
     n, seed, path = 6000, 51, ("wait",)
-    batch = rollout_batch(OptStopEnv(params), feats, theta, seed, path, n, with_scores=False)
+    batch = rollout_batch(feats, theta, seed, path, n, with_scores=False)
     assert np.all(batch.lengths == params.T + 1)
     u = substream_uniforms(seed, path, n, 2 * params.T)
     c, losses, disc = np.full(n, params.c0), np.zeros(n), 1.0

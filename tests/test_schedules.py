@@ -215,6 +215,39 @@ def test_cap_controller_risk_neutral_never_doubles():
     assert (controller.lambda_max, controller.doublings) == (1.0, 0)
 
 
+def test_cap_controller_keeps_only_the_window_it_reads():
+    window, rel_tol, margin = 5, 1e-3, 0.01
+    controller = CapController(2.0, window, rel_tol, margin)
+    # an untrimmed replay of the same tests, on the full histories of each cap
+    lam_history, param_history, cap = [], [], 2.0
+    rng = np.random.default_rng(9)
+    decisions, replayed, longest = [], [], 0
+    for i in range(500):
+        phase = (i // 25) % 3
+        if phase == 0:  # parameters and multiplier wander
+            theta, lam = rng.normal(0.0, 1.0, 3), rng.uniform(0.0, cap)
+        elif phase == 1:  # both settle below the cap
+            theta, lam = 1.0 + rng.normal(0.0, 1e-6, 3), 0.3 + rng.normal(0.0, 1e-7)
+        else:  # the multiplier pins the cap
+            theta, lam = rng.normal(0.0, 1.0, 3), cap
+        decisions.append(controller.observe(theta, 0.5, lam))
+        longest = max(longest, len(controller._lam_history), len(controller._param_history))
+        lam_history.append(lam)
+        param_history.append(np.concatenate([theta, [0.5, lam]]))
+        settled = (len(param_history) >= window
+                   and relative_change(param_history, window) < rel_tol)
+        replayed.append(lambda_max_controller(lam_history, cap, margin, window, rel_tol,
+                                              settled))
+        if replayed[-1] is Decision.DOUBLE:
+            cap *= 2.0
+            lam_history.clear()
+            param_history.clear()
+    assert decisions == replayed
+    assert set(decisions) == set(Decision)
+    assert longest <= window + 1
+    assert controller.lambda_max == cap
+
+
 def test_cap_controller_run_restarts_rounds_after_a_double():
     def learner():
         # the multiplier sits at the cap until the first doubling, then settles below it
