@@ -19,13 +19,17 @@ two kinds of caller.
 A batched rollout (the hot path of the trajectory gradient and of
 evaluation) takes the policy map alone and solves the map's problem,
 ``feats.params``. It draws all of its episodes' uniforms in one
-vectorized pass (``seeding.substream_uniforms``), walks the
+vectorized pass (``seeding.substream_uniforms``) and walks the
 reachable-cost table (``cost_table``), every cost float a step can hold
-with its successors, and writes each loss from the loss prefix that the
-lattice shares (``OptStopParams.fees_and_discounts``). A step's rows are
-featurized when a rollout first reaches the step: a raw map keeps them
-for its lifetime, a budget-aware rollout builds its own. So a rollout's
-Python work grows with the table, not with the episodes. The
+with its successors, numbered row by row (``_walk``). Every episode
+keeps its slot and its row for the whole rollout; a step is a few
+whole-batch gathers, and each loss is read at the end from the loss
+prefix that the lattice shares (``OptStopParams.fees_and_discounts``).
+The softmax runs once per doubling window of steps, [0, 1), [1, 3),
+[3, 7), ..., over the window's rows, which are featurized when a rollout
+first enters the window: a raw map keeps them for its lifetime, a
+budget-aware rollout builds its own. So a rollout makes a fixed number
+of numpy calls per step and per window, whatever its episode count. The
 actor-critic steps one state at a time, and its traffic rarely repeats a
 state, so there the cost of one call is what counts: ``per_action`` and
 the critic features clamp one state's coordinates in plain Python
@@ -104,11 +108,19 @@ class OptStopParams:
         return np.concatenate([[0.0], np.cumsum(disc[:-1] * self.p_h)]), disc
 
     def loss_upper_bound(self) -> float:
-        """Analytic envelope on any episode loss (holding fees + worst accept)."""
+        """Envelope on any episode loss: holding fees to the horizon, then the worst accept.
+
+        With gamma = 1 it is the all-up path's loss itself, fees[T] +
+        disc[T] c with c0 times f_u T times in order, the float the kernel
+        and the lattice form, so no episode exceeds it by rounding.
+        """
         if self.gamma == 1.0:
-            fees = self.p_h * self.T
-        else:
-            fees = self.p_h * (1.0 - self.gamma**self.T) / (1.0 - self.gamma)
+            fees, disc = self.fees_and_discounts()
+            c = self.c0
+            for _ in range(self.T):
+                c *= self.f_u
+            return float(fees[self.T] + disc[self.T] * c)
+        fees = self.p_h * (1.0 - self.gamma**self.T) / (1.0 - self.gamma)
         return fees + self.cost_range()[1]
 
 
@@ -204,9 +216,9 @@ class OptStopPolicyFeatures(_StateFeatures):
         self.scale = float(scale)
         self.n_actions = 2
         self.dim = self.n_actions * self.rbf.n_features
-        # raw rollouts' features of each step block of ``cost_table(params)``,
-        # built when a rollout first reaches the step and kept
-        self._table_blocks: list = [None] * params.T
+        # raw rollouts' features of each window of steps of ``cost_table(params)``,
+        # by its first step, built when a rollout first enters the window and kept
+        self._window_blocks: dict = {}
 
     def per_action(self, state) -> np.ndarray:
         """Features of one decision state, (2, dim)."""
@@ -312,6 +324,56 @@ def cost_table(params: OptStopParams) -> tuple[tuple, tuple, tuple]:
     return tuple(costs), tuple(up), tuple(down)
 
 
+@dataclass(frozen=True)
+class _Walk:
+    """``cost_table`` as the rollout kernel walks it: every float one numbered row.
+
+    Rows are numbered step by step: the decision rows of steps 0..T-1
+    (``start[k]`` is step k's first), the horizon's rows of step T (from
+    ``start[T]``, the number of decision rows), then one stopped twin per
+    decision row. ``succ[4 row + 2 action + moved]`` is the next row:
+    waiting moves a decision row to its successor in step k + 1, up when
+    ``moved`` is 1; accepting moves it to its twin; every other row stays.
+    ``loss`` and ``length`` give, per row, the loss and the decision steps
+    of an episode that ends there.
+    """
+
+    start: np.ndarray
+    succ: np.ndarray
+    loss: np.ndarray
+    length: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _walk(params: OptStopParams) -> _Walk:
+    """The rows of ``cost_table(params)``, built on the first rollout and kept.
+
+    The loss of a row of step k is fees[k] + disc[k] * cost, from the loss
+    prefix the lattice shares (``OptStopParams.fees_and_discounts``).
+    """
+    costs, up, down = cost_table(params)
+    T = params.T
+    start = np.cumsum([0] + [c.size for c in costs])
+    decisions, horizon = int(start[T]), int(start[T + 1])
+    # the horizon's rows and the twins stay where they are; a decision row
+    # that accepts moves to its twin, and one that waits to step k + 1
+    succ = np.repeat(np.arange(horizon + decisions), 4).reshape(-1, 2, 2)
+    succ[:decisions, ACCEPT] = horizon + np.arange(decisions)[:, None]
+    for k in range(T):
+        waits = succ[start[k]:start[k + 1], WAIT]
+        waits[:, 0] = start[k + 1] + down[k]
+        waits[:, 1] = start[k + 1] + up[k]
+    fees, disc = params.fees_and_discounts()
+    loss = np.concatenate([fees[k] + disc[k] * costs[k] for k in range(T + 1)])
+    length = np.repeat(np.arange(1, T + 2), np.diff(start))
+    # a stopped twin ends where its decision row accepted
+    walk = _Walk(start, succ.reshape(-1), np.concatenate([loss, loss[:decisions]]),
+                 np.concatenate([length, length[:decisions]]))
+    for a in (walk.start, walk.succ, walk.loss, walk.length):
+        a.flags.writeable = False
+    return walk
+
+
 @dataclass
 class BatchRollouts:
     """Lockstep simulation results for a batch of episodes."""
@@ -335,55 +397,66 @@ def _rollout(
     The problem is the policy map's own, ``feats.params``. Episode j draws
     its uniforms from ``substream(seed, *path, j)``: position 2k for its
     step-k action and 2k+1 for the cost move, the order of the sequential
-    rollout, so batched and per-episode simulation agree bit for bit. Each
-    alive episode carries its node, the index of its cost in step k's block
-    of ``cost_table``, and moves along the table's successor indices. Every
-    alive episode has waited at each earlier step, so all share step k's
-    budget, ``OptStopParams.budgets(s0)[k]``. At each step the policy's
-    softmax, and its scores, are computed once per float of step k's block
-    and gathered by node; each episode then draws its own action. A block's
-    features are built when a rollout first reaches its step: a raw map
-    keeps them for its lifetime, as they never change, while a budget-aware
-    rollout builds its own, as the budget follows s0. An episode that
-    accepts cost c at step k gets its loss once, fees[k] + disc[k] c, from
-    the prefix the lattice shares (``OptStopParams.fees_and_discounts``).
+    rollout, so batched and per-episode simulation agree bit for bit.
+
+    Each episode keeps its slot for the whole rollout and carries its row
+    of the cost table (``_walk``). A step gathers the probabilities at the
+    episodes' rows, draws every action (``sample_action``) and moves every
+    row along ``succ``. An episode that accepts moves to its row's stopped
+    twin and stays there, whatever it draws, so its row records where it
+    stopped. A twin reads the window's last row (``mode="clip"``), a dead
+    row of zero features, so it scores zero. So each episode's scores add
+    up step by step, in step order, and its loss and length are read
+    once, at the end, from the row it ends on. The rollout ends when no
+    episode is alive.
+
+    Every alive episode has waited at each earlier step, so all share step
+    k's budget, ``OptStopParams.budgets(s0)[k]``. The softmax and the
+    scores run once per window of steps, over the window's stacked rows.
+    The windows double, [0, 1), [1, 3), [3, 7), ..., so T steps take at
+    most ceil(log2(T + 1)) calls: 5 at T = 20. A rollout featurizes only
+    the windows it enters, one ``per_action_batch`` call per step. A raw
+    map keeps its windows' features for its lifetime, as they never
+    change; a budget-aware rollout builds its own, as the budget follows s0.
     """
     p = feats.params
     theta = np.asarray(theta, dtype=float)
     u = substream_uniforms(seed, path, n, 2 * p.T)
-    step_costs, up, down = cost_table(p)
-    fees, disc = p.fees_and_discounts()
-    idx = np.arange(n)                   # alive episodes
-    node = np.zeros(n, dtype=np.intp)    # their costs' indices in step k's block
-    s = p.budgets(s0) if s0 is not None and feats.include_s else None  # their budget per step
-    losses = np.zeros(n)
+    step_costs = cost_table(p)[0]
+    walk = _walk(p)
+    decisions = walk.start[p.T]
+    s = p.budgets(s0) if s0 is not None and feats.include_s else None
+    node = np.zeros(n, dtype=np.intp)  # each episode's row
     scores = np.zeros((n, theta.size if with_scores else 0))
-    lengths = np.zeros(n, dtype=np.int64)
-    for k in range(p.T + 1):
-        costs = step_costs[k]
-        if k < p.T:
-            if s is None:  # a raw map's features of a step never change, so it keeps them
-                fa = feats._table_blocks[k]
-                if fa is None:  # (floats, 2, dim)
-                    fa = feats._table_blocks[k] = feats.per_action_batch(costs, k)
-            else:  # the budget follows s0
-                fa = feats.per_action_batch(costs, k, np.full(costs.size, s[k]))
-            probs = action_probabilities(theta, fa)
-            act = sample_action(probs[node], u[idx, 2 * k])
-            if with_scores:
-                scores[idx] += action_scores(fa, probs)[node, act]
-            accepted = act == ACCEPT
-        else:  # the horizon forces acceptance
-            accepted = np.ones(idx.size, dtype=bool)
-        acc_idx = idx[accepted]
-        losses[acc_idx] = fees[k] + disc[k] * costs[node[accepted]]
-        lengths[acc_idx] = k + 1
-        waiting = ~accepted
-        idx, node = idx[waiting], node[waiting]
-        if idx.size == 0:
+    end = 0  # the end of the windows entered so far
+    for k in range(p.T):
+        if node.min(initial=decisions) == decisions:  # every episode has stopped
             break
-        node = np.where(u[idx, 2 * k + 1] < p.p, up[k][node], down[k][node])
-    return BatchRollouts(losses, scores, lengths)
+        if k == end:  # enter the window [k, 2k + 1)
+            end = min(2 * k + 1, p.T)
+            first = walk.start[k]
+            fa = feats._window_blocks.get(k) if s is None else None
+            if fa is None:  # the window's rows, then the dead row: zero features
+                fa = np.empty((walk.start[end] - first + 1, 2, feats.dim))
+                fa[-1] = 0.0
+                for j in range(k, end):
+                    budget = None if s is None else np.full(step_costs[j].size, s[j])
+                    fa[walk.start[j] - first:walk.start[j + 1] - first] = \
+                        feats.per_action_batch(step_costs[j], j, budget)
+                if s is None:  # a raw map's features never change, so it keeps them
+                    feats._window_blocks[k] = fa
+            probs = action_probabilities(theta, fa)
+            if with_scores:  # by 2 row + action
+                pick_scores = action_scores(fa, probs).reshape(-1, theta.size)
+            succ = walk.succ[4 * first:]
+        # rows past the window, the stopped twins, read the dead row
+        row = node - first
+        act = sample_action(np.take(probs, row, axis=0, mode="clip"), u[:, 2 * k])
+        pick = 2 * row + act
+        if with_scores:
+            scores += np.take(pick_scores, pick, axis=0, mode="clip")
+        node = succ[2 * pick + (u[:, 2 * k + 1] < p.p)]
+    return BatchRollouts(walk.loss[node], scores, walk.length[node])
 
 
 def rollout_batch(

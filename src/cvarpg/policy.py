@@ -8,7 +8,7 @@ with the analytic likelihood-ratio gradient
 
 Features have shape (..., n_actions, dim): one decision is an
 (n_actions, dim) matrix, and any leading axes are a batch of decisions
-(a step block of the rollout kernel's cost table, the lattice's nodes).
+(a window of the rollout kernel's cost table, the lattice's nodes).
 A caller computes the probabilities of a decision once and passes them
 to both the draw and the score.
 """
@@ -44,8 +44,12 @@ def sample_action(probs: np.ndarray, u):
     to the last action. A scalar u gives an int, an array of u with the
     batch shape of ``probs`` gives an array of actions.
     """
-    cdf = np.cumsum(np.asarray(probs)[..., :-1], axis=-1)
-    action = (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    probs, u = np.asarray(probs), np.asarray(u)
+    action = np.zeros(u.shape, dtype=np.intp)
+    cdf = None
+    for a in range(probs.shape[-1] - 1):  # the cumulative sum, added in action order
+        cdf = probs[..., a] if cdf is None else cdf + probs[..., a]
+        action += cdf <= u
     return int(action) if action.ndim == 0 else action
 
 

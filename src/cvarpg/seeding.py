@@ -9,12 +9,18 @@ execution order.
 episode index: it returns the leading uniforms of many consecutive
 substreams at once, equal bit for bit to those ``substream`` draws. It
 redoes numpy's seeding of each child (the SeedSequence hash pool, then
-PCG64's set-seed) with integer arrays over the episode indices. PCG64 is a
-128-bit LCG (O'Neill 2014), so the state after t steps is A_t*S + G_t*inc
-mod 2^128 with constants A_t = M^t and G_t = 1 + M + ... + M^(t-1) (Brown
-1994). A block of episodes gets its first 8 states by these jumps at
-once and every later state by one jump of 8 steps, then the XSL-RR
-output; there is no per-episode Python work.
+PCG64's set-seed). The entropy words every episode shares, the seed's and
+the path's, are hashed once per call as Python ints; only from the
+episode index on does the hash run on integer arrays over the indices.
+PCG64 is a 128-bit LCG (O'Neill 2014), so the state after t steps is
+A_t*S + G_t*inc mod 2^128 with constants A_t = M^t and G_t = 1 + M + ...
++ M^(t-1) (Brown 1994). A block of up to 2048 episodes gets its first
+``stride`` states by these jumps at once and every later state by one
+jump of ``stride`` steps, then the XSL-RR output. A block's (episodes,
+stride) integer temporaries stay within 2048 x 8 words: the stride is all
+m uniforms, in one pass, when a block's n x m fits in that, as for a
+100-episode training batch at m = 40, and 8 otherwise, as for a full
+block. There is no per-episode Python work.
 """
 from __future__ import annotations
 
@@ -53,9 +59,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# episodes per block, and uniforms per jump: (block, stride) temporaries stay in cache
+# episodes per block, and uniforms per jump of a block whose uniforms do not
+# fit in one pass: (block, stride) temporaries of at most _CELLS words stay in cache
 _EPISODE_BLOCK = 2048
 _STRIDE = 8
+_CELLS = _EPISODE_BLOCK * _STRIDE
 
 
 def _words(token: int) -> list[int]:
@@ -68,30 +76,40 @@ def _words(token: int) -> list[int]:
 
 
 def _hashmix(const: int, mult: int):
-    """SeedSequence's hashmix with its running hash constant, over uint32 arrays."""
+    """SeedSequence's hashmix with its running hash constant, over an int or a uint32 array."""
     def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _M32
-        value = value * np.uint32(const)
+        old, const = const, const * mult & _M32
+        if isinstance(value, int):
+            value = (value ^ old) * const & _M32
+            return value ^ (value >> 16)
+        value = (value ^ np.uint32(old)) * np.uint32(const)
         return value ^ (value >> np.uint32(16))
     return hashmix
 
 
 def _mix(x, y):
-    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    """SeedSequence's mix of two words, each a Python int or a uint32 array."""
+    if isinstance(x, int) and isinstance(y, int):
+        out = (_MIX_L * x - _MIX_R * y) & _M32
+        return out ^ (out >> 16)
+    # a product of Python ints is reduced before it meets an array
+    x = np.uint32(_MIX_L * x & _M32) if isinstance(x, int) else np.uint32(_MIX_L) * x
+    y = np.uint32(_MIX_R * y & _M32) if isinstance(y, int) else np.uint32(_MIX_R) * y
+    out = x - y
     return out ^ (out >> np.uint32(16))
 
 
 def _generate_state(words: list) -> list:
     """SeedSequence(words).generate_state(4, uint64), one uint64 array per word.
 
-    ``words`` holds uint32 arrays that broadcast together: the words every
-    episode shares have one element, the episode's own words one per episode.
+    ``words`` holds the words every episode shares, as Python ints, and
+    then the episodes' own word, a uint32 array. The shared words are
+    hashed as ints; a pool word becomes an array once the episodes' word
+    has mixed into it, and every one has by the end.
     """
     hashmix = _hashmix(_INIT_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
@@ -110,6 +128,7 @@ def _split(values) -> np.ndarray:
     return np.array([[v >> 64 for v in values], [v & _M64 for v in values]], dtype=np.uint64)
 
 
+@lru_cache(maxsize=64)
 def _jumps(t_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(A_t, G_t) for t = 1..t_max, split: t LCG steps map S to A_t*S + G_t*inc."""
     a, g, mults, incs = 1, 0, [], []
@@ -118,9 +137,6 @@ def _jumps(t_max: int) -> tuple[np.ndarray, np.ndarray]:
         mults.append(a)
         incs.append(g)
     return _split(mults), _split(incs)
-
-
-_JUMP_MULT, _JUMP_INC = _jumps(_STRIDE)
 
 
 def _mulhi64(a, b):
@@ -150,23 +166,23 @@ def _doubles(hi, lo) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _block_uniforms(shared: list[int], indices: np.ndarray, out: np.ndarray) -> None:
-    """Fill out with the leading uniforms of the substreams with entropy shared + [index]."""
-    words = [np.array([w], dtype=np.uint32) for w in shared]
-    words.append(indices)
-    s_hi, s_lo, q_hi, q_lo = (w[:, None] for w in _generate_state(words))
+def _block_uniforms(seed_state: list, out: np.ndarray) -> None:
+    """Fill out with the leading uniforms of the substreams whose seed states are given."""
+    s_hi, s_lo, q_hi, q_lo = (w[:, None] for w in seed_state)
     # PCG64 set-seed: inc = 2*seq + 1, then state = (inc + s)*M + inc
     inc = ((q_hi << np.uint64(1)) | (q_lo >> np.uint64(63)), (q_lo << np.uint64(1)) | np.uint64(1))
     state = _add128(_mul128(_add128(inc, (s_hi, s_lo)), _split([_PCG_MULT])), inc)
-    # the first _STRIDE states at once, then _STRIDE steps at a time
-    m = out.shape[1]
-    first = min(m, _STRIDE)
-    state = _add128(_mul128(state, _JUMP_MULT[:, :first]), _mul128(inc, _JUMP_INC[:, :first]))
-    stride_inc = _mul128(inc, _JUMP_INC[:, -1:])
-    for col in range(0, m, _STRIDE):
+    # the first stride states at once, then stride steps at a time; a block
+    # whose m columns fit in _CELLS words takes them in one pass
+    rows, m = out.shape
+    stride = m if rows * m <= _CELLS else _STRIDE
+    mults, incs = _jumps(stride)
+    state = _add128(_mul128(state, mults), _mul128(inc, incs))
+    stride_inc = _mul128(inc, incs[:, -1:])
+    for col in range(0, m, stride):
         if col:
-            state = _add128(_mul128(state, _JUMP_MULT[:, -1:]), stride_inc)
-        out[:, col:col + _STRIDE] = _doubles(*state)[:, :m - col]
+            state = _add128(_mul128(state, mults[:, -1:]), stride_inc)
+        out[:, col:col + stride] = _doubles(*state)[:, :m - col]
 
 
 def substream_uniforms(master_seed: int, path: tuple, n: int, m: int) -> np.ndarray:
@@ -180,9 +196,10 @@ def substream_uniforms(master_seed: int, path: tuple, n: int, m: int) -> np.ndar
         raise InputError(f"need 0 <= n <= 2^32 and 0 <= m, got {n}, {m}")
     shared = [w for part in (master_seed, *path) for w in _words(_token(part))]
     out = np.empty((n, m))
-    if m == 0:
+    if m == 0 or n == 0:
         return out
+    seed_state = _generate_state(shared + [np.arange(n, dtype=np.uint32)])
     for a in range(0, n, _EPISODE_BLOCK):
         b = min(a + _EPISODE_BLOCK, n)
-        _block_uniforms(shared, np.arange(a, b, dtype=np.uint32), out[a:b])
+        _block_uniforms([w[a:b] for w in seed_state], out[a:b])
     return out

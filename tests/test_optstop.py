@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvarpg import optstop
 from cvarpg.errors import InputError
 from cvarpg.features import AxisScale
 from cvarpg.lattice import StoppingLattice
@@ -50,6 +52,14 @@ def test_params_validation():
     with pytest.raises(InputError, match="f_d=1e-300"):
         OptStopParams(T=2, f_d=1e-300)
     assert OptStopParams(T=1750).cost_range()[1] < np.inf  # the defaults' longest horizon
+
+
+def test_loss_upper_bound_is_the_all_up_loss_with_gamma_one():
+    # the closed form p_h T + c0 f_u^T read up to 1.1e-13 below the
+    # all-up node loss on 11 of these sets
+    for T, p_h, f_u in itertools.product((5, 10, 20, 35), (0.01, 0.1, 0.3), (1.2, 1.5, 2.0)):
+        params = OptStopParams(T=T, p_h=p_h, f_u=f_u, f_d=0.7, p=0.4, gamma=1.0)
+        assert params.loss_upper_bound() == StoppingLattice(params).loss.max()
 
 
 def test_accept_ends_episode():
@@ -456,16 +466,68 @@ def test_raw_map_featurizes_each_step_once_for_its_lifetime(monkeypatch):
                                                 ("raw",), 300))
     _assert_equals_sequential(second, env, raw, theta2, None, 42, ("raw",))
 
-    # a budget-aware rollout builds its own blocks: the budget follows s0
-    theta = np.random.default_rng(15).normal(0.0, 0.5, aware.dim)
-    theta[-1] += 3.0
+    # a budget-aware rollout builds its own blocks, as the budget follows s0,
+    # every step of each window it enters: [0, 1), [1, 3), [3, 7), [7, 15),
+    # [15, 20). With the accept lean the longest episode decides last at
+    # step 5, so the rollout featurizes window [3, 7) whole and no further.
     monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", recording)
-    for s0 in (1.7, 2.5):
+    for wait_lean, s0, longest, steps in ((-3.0, 1.7, 6, range(7)), (3.0, 1.7, 21, range(20)),
+                                          (3.0, 2.5, 21, range(20))):
+        theta = np.random.default_rng(15).normal(0.0, 0.5, aware.dim)
+        theta[-1] += wait_lean
         calls.clear()
         batch = rollout_batch_augmented(aware, theta, s0, 43, ("aware",), 200)
-        assert calls == [(True, k) for k in range(min(batch.lengths.max(), params.T))]
+        assert batch.lengths.max() == longest
+        assert calls == [(True, k) for k in steps]
     monkeypatch.undo()
     _assert_equals_sequential(batch, env, aware, theta, 2.5, 43, ("aware",))
+
+
+def test_softmax_runs_once_per_window_entered(monkeypatch):
+    params = OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)  # criterion 6's instance
+    rows = [c.size for c in cost_table(params)[0]]
+    windows = [range(0, 1), range(1, 3), range(3, 7), range(7, 15), range(15, 20)]
+    softmax_rows, featurized = [], []
+    probabilities = optstop.action_probabilities
+    per_action_batch = OptStopPolicyFeatures.per_action_batch
+
+    def softmax(theta, fa):
+        softmax_rows.append(len(fa))
+        return probabilities(theta, fa)
+
+    def featurize(self, c, k, s=None):
+        featurized.append(k)
+        return per_action_batch(self, c, k, s)
+
+    monkeypatch.setattr(optstop, "action_probabilities", softmax)
+    monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", featurize)
+    raw = OptStopPolicyFeatures(params)
+    aware = OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0))
+    lasts = set()
+    # the raw map's second pass reuses its kept features, but not its softmax
+    for feats in (raw, aware, raw):
+        for wait_lean in (-3.0, 0.0, 1.0, 3.0):
+            theta = np.random.default_rng(16).normal(0.0, 0.5, feats.dim)
+            theta[-1] += wait_lean
+            softmax_rows.clear()
+            if feats.include_s:
+                batch = rollout_batch_augmented(feats, theta, 1.7, 44, ("win",), 200)
+            else:
+                batch = rollout_batch(feats, theta, 44, ("win",), 200)
+            last = min(batch.lengths.max(), params.T) - 1  # the last step any episode decides at
+            lasts.add(int(last))
+            # each window's rows, and the dead row of the episodes that have stopped
+            assert softmax_rows == [sum(rows[k] for k in w) + 1 for w in windows
+                                    if w.start <= last]
+    assert len(lasts) >= 3  # the leans end the rollouts in different windows
+    # a budget-aware policy that accepts at step 0 featurizes step 0 only
+    theta = np.zeros(aware.dim)
+    theta[aware.dim // 2 - 1] = 1000.0  # the accept block's bias
+    featurized.clear()
+    softmax_rows.clear()
+    batch = rollout_batch_augmented(aware, theta, 1.7, 45, ("now",), 200)
+    assert np.all(batch.lengths == 1)
+    assert featurized == [0] and softmax_rows == [1 + 1]
 
 
 @pytest.mark.parametrize("params,decision_floats", [

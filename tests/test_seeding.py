@@ -41,3 +41,34 @@ def test_uniforms_of_empty_batches_and_bad_ranges():
     for n, m in ((-1, 2), (2, -1), (2**32 + 1, 2)):
         with pytest.raises(InputError):
             substream_uniforms(0, ("x",), n, m)
+
+
+def _shared_words(seed, path) -> int:
+    return sum(len(seeding._words(seeding._token(part))) for part in (seed, *path))
+
+
+@pytest.mark.parametrize("seed,path,shared", [
+    (5, (), 1),              # the episode index at pool position 1
+    (2**32 + 7, (), 2),      # a seed of two words: position 2
+    (5, ("a",), 3),          # a string is two words: position 3
+    (-1, ("a",), 4),         # and from here on the index follows the pool
+    (5, ("a", 7, 9), 5),
+    (2**40, ("a", 7, 9), 6),
+])
+def test_uniforms_with_the_index_at_every_entropy_position(monkeypatch, seed, path, shared):
+    assert _shared_words(seed, path) == shared
+    strides = []
+    jumps = seeding._jumps
+
+    def recording(t_max):
+        strides.append(t_max)
+        return jumps(t_max)
+
+    monkeypatch.setattr(seeding, "_jumps", recording)
+    m = 40
+    one_pass = seeding._CELLS // m  # the most episodes whose m uniforms take one pass
+    for n, in_one_pass in ((3, True), (one_pass, True), (one_pass + 1, False)):
+        strides.clear()
+        got = substream_uniforms(seed, path, n, m)
+        assert (strides == [m]) is in_one_pass
+        assert np.array_equal(got, _one_at_a_time(seed, path, n, m))
