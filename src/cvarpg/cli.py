@@ -24,6 +24,7 @@ from .errors import InputError, SimulationError
 from .harness import compare, evaluate_and_write, load_params, report_from_text, run_experiment
 from .lattice import StoppingLattice
 from .risk import cvar, tail_probability
+from .seeding import MAX_EPISODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,9 +37,9 @@ _ORACLE_ACCEPTANCE = {"uniform": 0.5, "accept": 1.0, "wait": 0.0}
 
 
 def _episode_count(text: str) -> int:
-    """argparse type of ``--eval-episodes``: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    """argparse type of ``--eval-episodes``: an integer from 1 to 2^32."""
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_EPISODES:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 2^32, got {text!r}")
     return int(text)
 
 

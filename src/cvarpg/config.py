@@ -17,6 +17,7 @@ from .errors import InputError
 from .optstop import OptStopParams
 from .risk import RiskSpec
 from .schedules import MIN_WINDOW, Box, PerturbationSchedule, StepSchedule, check_separation
+from .seeding import MAX_EPISODES
 
 
 class Algorithm(NamedTuple):
@@ -122,6 +123,9 @@ class ExperimentConfig:
                      "features_policy_centers", "features_critic_centers"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
+        for name in ("pg_batch_size", "eval_episodes", "train_warmup_rollouts"):
+            if getattr(self, name) > MAX_EPISODES:
+                raise InputError(f"{name} must be <= 2^32, one seed word per episode index")
         for name in ("train_rel_tol", "policy_theta_bound", "env_c_max"):
             if getattr(self, name) < 0.0:
                 raise InputError(f"{name} must be >= 0")

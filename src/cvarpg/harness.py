@@ -28,7 +28,12 @@ from .optstop import (
 from .pg import pg_train
 from .risk import EmpiricalDistribution, cvar, tail_probability, value_at_risk
 from .schedules import CapController, Iterate
-from .seeding import substream
+from .seeding import substream, substream_uniforms
+
+# rows of uniforms a PG run draws in one call, at most (or one batch, if larger):
+# iterations [i, i + K) of a round at once, K doubling from 1 until K batches fill these rows
+_PG_DRAW_ROWS = 1000
+
 
 @dataclass
 class TrainedPolicy:
@@ -95,8 +100,8 @@ def warmup_quantile(config: ExperimentConfig, seed: int, alpha: float) -> float:
     """Empirical alpha-quantile of losses under the untrained policy."""
     feats = policy_feature_map(config, include_s=False)
     theta0 = np.zeros(feats.dim)
-    batch = rollout_batch(feats, theta0, seed, ("warmup",), config.train_warmup_rollouts,
-                          with_scores=False)
+    u = substream_uniforms(seed, ("warmup",), config.train_warmup_rollouts, 2 * config.env_T)
+    batch = rollout_batch(feats, theta0, u, with_scores=False)
     return value_at_risk(EmpiricalDistribution(batch.losses), alpha)
 
 
@@ -112,10 +117,20 @@ def train_policy(config: ExperimentConfig, seed: int) -> TrainedPolicy:
                                incremental=spec.ac_variant is not None)
 
     if spec.ac_variant is None:
-        n = config.pg_batch_size
+        n, tuning = config.pg_batch_size, config.pg_tuning_iterations
+        # iteration i's batch reads the uniforms of substream(seed, "pg", round, i, j),
+        # which never depend on theta, so they are drawn ahead:
+        # (round, iteration) -> that iteration's (n, 2T) uniforms
+        drawn = {}
 
         def sampler(theta, round_idx, iter_idx):
-            batch = rollout_batch(feats, theta, seed, ("pg", round_idx, iter_idx), n)
+            if (round_idx, iter_idx) not in drawn:
+                k = min(iter_idx, max(1, _PG_DRAW_ROWS // n), tuning - iter_idx + 1)
+                runs = range(iter_idx, iter_idx + k)
+                u = substream_uniforms(seed, ("pg", round_idx, runs), n, 2 * config.env_T)
+                drawn.clear()
+                drawn.update(((round_idx, i), u_i) for i, u_i in zip(runs, u))
+            batch = rollout_batch(feats, theta, drawn[round_idx, iter_idx])
             return batch.losses, batch.scores
 
         result = pg_train(
@@ -170,11 +185,11 @@ def evaluate_policy(config: ExperimentConfig, trained: TrainedPolicy, seed: int,
     if trained.theta.shape != (feats.dim,):
         raise InputError(f"theta has shape {trained.theta.shape}; the config's policy map "
                          f"needs ({feats.dim},)")
+    u = substream_uniforms(seed, ("eval",), episodes, 2 * config.env_T)
     if spec.budget_aware:
-        batch = rollout_batch_augmented(feats, trained.theta, trained.nu, seed, ("eval",),
-                                        episodes, with_scores=False)
+        batch = rollout_batch_augmented(feats, trained.theta, trained.nu, u, with_scores=False)
     else:
-        batch = rollout_batch(feats, trained.theta, seed, ("eval",), episodes, with_scores=False)
+        batch = rollout_batch(feats, trained.theta, u, with_scores=False)
     return batch.losses, batch.lengths
 
 

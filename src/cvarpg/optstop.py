@@ -18,10 +18,12 @@ only the states their callers reach: the policy its decision states
 two kinds of caller.
 A batched rollout (the hot path of the trajectory gradient and of
 evaluation) takes the policy map alone and solves the map's problem,
-``feats.params``. It draws all of its episodes' uniforms in one
-vectorized pass (``seeding.substream_uniforms``) and walks the
-reachable-cost table (``cost_table``), every cost float a step can hold
-with its successors, numbered row by row (``_walk``). Every episode
+``feats.params``. It takes its episodes' uniforms from the caller, one
+row per episode, and knows nothing of seeding: the harness draws them
+(``seeding.substream_uniforms``), a PG run many iterations' batches in
+one call. The rollout walks the reachable-cost table (``cost_table``),
+every cost float a step can hold with its successors, numbered row by
+row (``_walk``). Every episode
 keeps its slot and its row for the whole rollout; a step is a few
 whole-batch gathers, and each loss is read at the end from the loss
 prefix that the lattice shares (``OptStopParams.fees_and_discounts``).
@@ -51,7 +53,6 @@ from .lattice import StoppingLattice
 from .mdp import AugState
 from .policy import action_probabilities, action_scores, sample_action
 from .risk import EmpiricalDistribution
-from .seeding import substream_uniforms
 
 ACCEPT = 0
 WAIT = 1
@@ -387,17 +388,17 @@ def _rollout(
     feats: OptStopPolicyFeatures,
     theta: np.ndarray,
     s0: float | None,
-    seed: int,
-    path: tuple,
-    n: int,
+    u: np.ndarray,
     with_scores: bool,
 ) -> BatchRollouts:
     """Lockstep kernel behind both public rollouts; ``s0=None`` is the raw env.
 
-    The problem is the policy map's own, ``feats.params``. Episode j draws
-    its uniforms from ``substream(seed, *path, j)``: position 2k for its
-    step-k action and 2k+1 for the cost move, the order of the sequential
-    rollout, so batched and per-episode simulation agree bit for bit.
+    The problem is the policy map's own, ``feats.params``. Row j of the
+    (n, 2T) array ``u`` holds episode j's uniforms: column 2k its step-k
+    action draw and 2k+1 its cost move, the order of the sequential
+    rollout. Given the first 2T uniforms of ``substream(seed, *path, j)``
+    (``seeding.substream_uniforms``), batched and per-episode simulation
+    agree bit for bit.
 
     Each episode keeps its slot for the whole rollout and carries its row
     of the cost table (``_walk``). A step gathers the probabilities at the
@@ -421,7 +422,10 @@ def _rollout(
     """
     p = feats.params
     theta = np.asarray(theta, dtype=float)
-    u = substream_uniforms(seed, path, n, 2 * p.T)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 2 * p.T:
+        raise InputError(f"u has shape {u.shape}; a rollout of T={p.T} needs (n, {2 * p.T})")
+    n = len(u)
     step_costs = cost_table(p)[0]
     walk = _walk(p)
     decisions = walk.start[p.T]
@@ -462,34 +466,31 @@ def _rollout(
 def rollout_batch(
     feats: OptStopPolicyFeatures,
     theta: np.ndarray,
-    seed: int,
-    path: tuple,
-    n: int,
+    u: np.ndarray,
     with_scores: bool = True,
 ) -> BatchRollouts:
     """Vectorized episodes of the raw environment under one parameter vector.
 
-    ``with_scores=False`` skips the likelihood-ratio scores, which only
+    ``u`` holds one row of 2T uniforms per episode, as ``_rollout`` reads
+    them. ``with_scores=False`` skips the likelihood-ratio scores, which only
     gradient estimates read; ``scores`` is then an empty (n, 0) array.
     """
-    return _rollout(feats, theta, None, seed, path, n, with_scores)
+    return _rollout(feats, theta, None, u, with_scores)
 
 
 def rollout_batch_augmented(
     feats: OptStopPolicyFeatures,
     theta: np.ndarray,
     s0: float,
-    seed: int,
-    path: tuple,
-    n: int,
+    u: np.ndarray,
     with_scores: bool = True,
 ) -> BatchRollouts:
     """Vectorized episodes of the budget-augmented environment.
 
     Losses reported are the raw environment losses D, without the terminal
-    penalty. ``with_scores`` is as in ``rollout_batch``.
+    penalty. ``u`` and ``with_scores`` are as in ``rollout_batch``.
     """
-    return _rollout(feats, theta, float(s0), seed, path, n, with_scores)
+    return _rollout(feats, theta, float(s0), u, with_scores)
 
 
 def enumerate_loss_distribution(

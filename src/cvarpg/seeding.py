@@ -7,20 +7,25 @@ execution order.
 
 ``substream_uniforms`` serves batches of episodes, one substream per
 episode index: it returns the leading uniforms of many consecutive
-substreams at once, equal bit for bit to those ``substream`` draws. It
-redoes numpy's seeding of each child (the SeedSequence hash pool, then
-PCG64's set-seed). The entropy words every episode shares, the seed's and
-the path's, are hashed once per call as Python ints; only from the
-episode index on does the hash run on integer arrays over the indices.
+substreams at once, equal bit for bit to those ``substream`` draws. A
+``range`` of run indices as the last path part draws the batches of many
+runs in one call, as a (runs, episodes, uniforms) block: a PG run draws
+its iterations' batches ahead this way. It redoes numpy's seeding of each
+child (the SeedSequence hash pool, then PCG64's set-seed). The entropy
+words every episode shares, the seed's and the path's, are hashed once
+per call as Python ints; only from the run index or the episode index on
+does the hash run on integer arrays, broadcast over runs x episodes.
+Every run and episode index is below ``MAX_EPISODES`` = 2^32, so each
+enters the entropy as one 32-bit word.
 PCG64 is a 128-bit LCG (O'Neill 2014), so the state after t steps is
 A_t*S + G_t*inc mod 2^128 with constants A_t = M^t and G_t = 1 + M + ...
-+ M^(t-1) (Brown 1994). A block of up to 2048 episodes gets its first
-``stride`` states by these jumps at once and every later state by one
-jump of ``stride`` steps, then the XSL-RR output. A block's (episodes,
-stride) integer temporaries stay within 2048 x 8 words: the stride is all
-m uniforms, in one pass, when a block's n x m fits in that, as for a
-100-episode training batch at m = 40, and 8 otherwise, as for a full
-block. There is no per-episode Python work.
++ M^(t-1) (Brown 1994). A block of up to 2048 rows, one row per episode
+of each run, gets its first ``stride`` states by these jumps at once and
+every later state by one jump of ``stride`` steps, then the XSL-RR
+output. A block's (rows, stride) integer temporaries stay within 2048 x 8
+words: the stride is all m uniforms, in one pass, when a block's rows x m
+fits in that, as for one 100-episode training batch at m = 40, and 8
+otherwise, as for a full block. There is no per-episode Python work.
 """
 from __future__ import annotations
 
@@ -49,6 +54,9 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
     entropy = [_token(master_seed)] + [_token(p) for p in path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
+
+# episode indices 0 .. MAX_EPISODES - 1, and run indices below it, are one entropy word each
+MAX_EPISODES = 1 << 32
 
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -104,9 +112,10 @@ def _generate_state(words: list) -> list:
     """SeedSequence(words).generate_state(4, uint64), one uint64 array per word.
 
     ``words`` holds the words every episode shares, as Python ints, and
-    then the episodes' own word, a uint32 array. The shared words are
-    hashed as ints; a pool word becomes an array once the episodes' word
-    has mixed into it, and every one has by the end.
+    then the episodes' own words, uint32 arrays that broadcast together
+    (a run index over episode indices). The shared words are hashed as
+    ints; a pool word becomes an array once an array word has mixed into
+    it, and every one has by the end.
     """
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
@@ -143,9 +152,10 @@ def _mulhi64(a, b):
     """High 64 bits of the 128-bit products a*b of uint64 arrays."""
     a0, a1 = a & np.uint64(_M32), a >> np.uint64(32)
     b0, b1 = b & np.uint64(_M32), b >> np.uint64(32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
-    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    # 32-bit partial products, carried so that no sum passes 2^64 (Warren, Hacker's Delight)
+    t = a1 * b0 + (a0 * b0 >> np.uint64(32))
+    w = (t & np.uint64(_M32)) + a0 * b1
+    return a1 * b1 + (t >> np.uint64(32)) + (w >> np.uint64(32))
 
 
 def _mul128(x, c):
@@ -190,16 +200,23 @@ def substream_uniforms(master_seed: int, path: tuple, n: int, m: int) -> np.ndar
 
     Returns an (n, m) array equal bit for bit to
     ``np.stack([substream(master_seed, *path, j).random(m) for j in range(n)])``.
-    Every index is below 2^32, so it enters the entropy as one word.
+    A last path part ``range(a, b)`` of run indices returns the (b - a, n, m)
+    stack of the calls with path ``(*path[:-1], r)`` for r = a..b-1.
     """
-    if n < 0 or m < 0 or n > 1 << 32:
+    if n < 0 or m < 0 or n > MAX_EPISODES:
         raise InputError(f"need 0 <= n <= 2^32 and 0 <= m, got {n}, {m}")
+    shape, index = (n, m), [np.arange(n, dtype=np.uint32)]
+    if path and isinstance(path[-1], range):
+        runs, path = path[-1], path[:-1]
+        if runs.step != 1 or not 0 <= runs.start < runs.stop <= MAX_EPISODES:
+            raise InputError(f"need a run range(a, b) of step 1, 0 <= a < b <= 2^32, got {runs}")
+        shape = (len(runs), n, m)
+        index = [np.arange(runs.start, runs.stop, dtype=np.uint32)[:, None], index[0]]
     shared = [w for part in (master_seed, *path) for w in _words(_token(part))]
-    out = np.empty((n, m))
-    if m == 0 or n == 0:
-        return out
-    seed_state = _generate_state(shared + [np.arange(n, dtype=np.uint32)])
-    for a in range(0, n, _EPISODE_BLOCK):
-        b = min(a + _EPISODE_BLOCK, n)
-        _block_uniforms([w[a:b] for w in seed_state], out[a:b])
-    return out
+    out = np.empty((int(np.prod(shape[:-1])), m))
+    if out.size:
+        seed_state = [w.reshape(-1) for w in _generate_state(shared + index)]
+        for a in range(0, len(out), _EPISODE_BLOCK):
+            b = min(a + _EPISODE_BLOCK, len(out))
+            _block_uniforms([w[a:b] for w in seed_state], out[a:b])
+    return out.reshape(shape)

@@ -26,6 +26,7 @@ from cvarpg.harness import (
 )
 from cvarpg.optstop import rollout_batch, rollout_batch_augmented
 from cvarpg.risk import EmpiricalDistribution, cvar, tail_probability
+from cvarpg.seeding import substream_uniforms
 
 
 def small_config(algorithm="PG_CVAR"):
@@ -158,6 +159,78 @@ def test_reports_are_reproducible(tmp_path, algorithm):
     assert report_to_text(rep1) == report_to_text(rep2)
 
 
+def _spy_pg_run(monkeypatch, cfg, seed):
+    """Train cfg; returns the run, each PG iteration's (round, i) and u, and every draw's path."""
+    iterations, current, draws = [], [], []
+    pg_train, draw, kernel = harness.pg_train, harness.substream_uniforms, harness.rollout_batch
+
+    def spied_train(sampler, *args):
+        def spied_sampler(theta, round_idx, iter_idx):
+            current.append((round_idx, iter_idx))
+            return sampler(theta, round_idx, iter_idx)
+        return pg_train(spied_sampler, *args)
+
+    def spied_draw(master_seed, path, n, m):
+        draws.append(path)
+        return draw(master_seed, path, n, m)
+
+    def spied_kernel(feats, theta, u, *args, **kwargs):
+        if current:  # one kernel call per iteration; the warm-up's call has none
+            iterations.append((current.pop(), u))
+        return kernel(feats, theta, u, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "pg_train", spied_train)
+    monkeypatch.setattr(harness, "substream_uniforms", spied_draw)
+    monkeypatch.setattr(harness, "rollout_batch", spied_kernel)
+    trained = harness.train_policy(cfg, seed)
+    monkeypatch.undo()
+    return trained, iterations, [path for path in draws if path[0] == "pg"]
+
+
+@pytest.mark.parametrize("case", ["cap doublings", "batch above the draw rows"])
+def test_pg_iterations_read_their_own_substreams(monkeypatch, case):
+    cfg = small_config("PG_CVAR")
+    if case == "cap doublings":
+        # lambda pins a cap this small, which doubles every 3 iterations for a while
+        cfg.risk_beta, cfg.risk_lambda_max, cfg.train_window = 0.1, 0.01, 3
+        cfg.pg_iteration_cap = 40
+    else:
+        cfg.pg_batch_size = harness._PG_DRAW_ROWS + 1
+    cfg.validate()
+    seed, n, m = 4, cfg.pg_batch_size, 2 * cfg.env_T
+    trained, iterations, draws = _spy_pg_run(monkeypatch, cfg, seed)
+    assert len(iterations) == len(trained.history)
+    if case == "cap doublings":
+        assert trained.doublings >= 3
+    # every iteration reads substream(seed, "pg", round, i, j), bit for bit
+    for (round_idx, i), u in iterations:
+        want = substream_uniforms(seed, ("pg", round_idx, i), n, m)
+        assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
+    # an iteration not yet drawn draws [i, i + K): K doubles from 1 within a
+    # round, up to the draw rows' worth of batches and the round's last iteration
+    expected, covered = [], None
+    for (round_idx, i), _ in iterations:
+        if covered is None or covered[0] != round_idx or i not in covered[1]:
+            k = min(i, max(1, harness._PG_DRAW_ROWS // n), cfg.pg_tuning_iterations - i + 1)
+            covered = (round_idx, range(i, i + k))
+            expected.append(("pg", *covered))
+    assert draws == expected
+    if case == "batch above the draw rows":
+        assert [path[-1] for path in draws] == [range(i, i + 1) for i in range(1, 16)]
+
+
+def test_a_pg_run_draws_its_batches_in_doubling_chunks(monkeypatch):
+    cfg = small_config("PG")
+    cfg.pg_batch_size = n = 100
+    cfg.pg_tuning_iterations = cfg.pg_iteration_cap = 60
+    cfg.train_rel_tol = 0.0  # never settles, so all 60 iterations run
+    trained, iterations, draws = _spy_pg_run(monkeypatch, cfg.validate(), 2)
+    assert len(trained.history) == len(iterations) == 60
+    runs = [path[-1] for path in draws]
+    assert [i for r in runs for i in r] == list(range(1, 61))
+    assert len(runs) <= np.log2(60) + 60 * n / harness._PG_DRAW_ROWS
+
+
 def test_evaluation_is_one_kernel_call(monkeypatch):
     # the old thread-count variable is ignored: no shards, no pool
     monkeypatch.setenv("CVAR_MDP_THREADS", "4")
@@ -169,13 +242,14 @@ def test_evaluation_is_one_kernel_call(monkeypatch):
     sizes = []
 
     def counted(*args, **kwargs):
-        sizes.append(args[4])  # the episode count
+        sizes.append(len(args[2]))  # the episode count
         return rollout_batch(*args, **kwargs)
 
     monkeypatch.setattr(harness, "rollout_batch", counted)
     losses, lengths = evaluate_policy(cfg, trained, seed=5, episodes=60)
     assert sizes == [60]
-    direct = rollout_batch(feats, theta, 5, ("eval",), 60, with_scores=False)
+    direct = rollout_batch(feats, theta, substream_uniforms(5, ("eval",), 60, 2 * cfg.env_T),
+                           with_scores=False)
     assert np.array_equal(losses, direct.losses)
     assert np.array_equal(lengths, direct.lengths)
 
@@ -197,7 +271,9 @@ def test_risk_neutral_ac_evaluation_is_one_budget_blind_rollout(monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     losses, lengths = evaluate_policy(cfg, trained, seed=5, episodes=60)
     assert len(calls) == 1
-    direct = rollout_batch_augmented(feats, theta, 0.0, 5, ("eval",), 60, with_scores=False)
+    direct = rollout_batch_augmented(feats, theta, 0.0,
+                                     substream_uniforms(5, ("eval",), 60, 2 * cfg.env_T),
+                                     with_scores=False)
     assert np.array_equal(losses, direct.losses)
     assert np.array_equal(lengths, direct.lengths)
 
@@ -426,6 +502,33 @@ def test_cli_refuses_bad_input_before_any_work(case, input_files, monkeypatch, c
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["eval.episodes", "pg.batch_size", "train.warmup_rollouts",
+                                 "--eval-episodes"])
+def test_train_refuses_episode_counts_above_2_32(tmp_path, monkeypatch, capsys, key):
+    # an episode index is one 32-bit seed word, so no count above 2^32 can be drawn
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_policy ran")
+
+    monkeypatch.setattr(harness, "train_policy", no_training)
+    count, cfg = str(2**32 + 1), tmp_path / "big.cfg"
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(cfg), "--out", str(out)]
+    if key.startswith("--"):
+        cfg.write_text("algorithm = PG_CVAR\nenv.T = 8\n")
+        argv += [key, count]
+    else:
+        cfg.write_text(f"algorithm = PG_CVAR\nenv.T = 8\n{key} = {count}\n")
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a bad --eval-episodes itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert "2^32" in err and not out.exists()
+    assert cli._episode_count(str(2**32)) == 2**32
 
 
 @pytest.mark.parametrize("workload", ["oracle", "pg_train", "ac_train", "eval_large"])

@@ -33,6 +33,11 @@ from oracles import discounted_loss, enumerate_trajectories, rollout, trade_off_
 PAPER = OptStopParams()  # c0=1, p_h=0.1, T=20, f_u=1.5, f_d=0.8, p=0.65, gamma=0.95
 
 
+def _uniforms(feats, seed, path, n):
+    """The kernel's (n, 2T) uniforms: episode j's from substream(seed, *path, j)."""
+    return substream_uniforms(seed, path, n, 2 * feats.params.T)
+
+
 def test_params_validation():
     with pytest.raises(InputError):
         OptStopParams(f_u=0.9)
@@ -146,7 +151,7 @@ def test_enumerate_uniform_matches_monte_carlo():
     dist = enumerate_loss_distribution(feats, theta, params)
     assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
     n = 1_000_000
-    batch = rollout_batch(feats, theta, 21, ("mc",), n, with_scores=False)
+    batch = rollout_batch(feats, theta, _uniforms(feats, 21, ("mc",), n), with_scores=False)
     # bin the simulated losses at the exact enumerated atoms
     order = np.argsort(dist.samples)
     atoms = dist.samples[order]
@@ -218,7 +223,8 @@ def test_budget_aware_node_rule_matches_augmented_rollouts():
     theta[:feats.rbf.n_features - 1] += 3.0 * (feats.rbf.centers[:, 2] - 0.5)
     s0, n, alpha = 5.0, 20_000, 0.9
     exact = lattice.distribution(lattice.node_rule(feats, theta, s0))
-    batch = rollout_batch_augmented(feats, theta, s0, 3, ("lat",), n, with_scores=False)
+    batch = rollout_batch_augmented(feats, theta, s0, _uniforms(feats, 3, ("lat",), n),
+                                    with_scores=False)
     # every loss is a node loss at its depth (entries past the diagonal are 0)
     gap = np.abs(batch.losses[:, None] - lattice.loss[batch.lengths - 1]).min(axis=1)
     assert np.all(gap <= 1e-12 * batch.losses)
@@ -315,7 +321,7 @@ def test_batch_matches_sequential_rollouts():
     rng = np.random.default_rng(4)
     theta = rng.normal(0, 0.5, feats.dim)
     n = 64
-    batch = rollout_batch(feats, theta, 17, ("eq",), n)
+    batch = rollout_batch(feats, theta, _uniforms(feats, 17, ("eq",), n))
     for j in range(n):
         traj = rollout(env, feats, theta, substream(17, "eq", j), 10, 0.95)
         assert traj.loss == batch.losses[j]
@@ -332,7 +338,7 @@ def test_augmented_batch_matches_sequential():
     risk = RiskSpec(0.9, 1.9, 100.0, params.gamma)
     s0 = 1.7
     n = 48
-    batch = rollout_batch_augmented(feats, theta, s0, 23, ("aq",), n)
+    batch = rollout_batch_augmented(feats, theta, s0, _uniforms(feats, 23, ("aq",), n))
     aug = AugmentedEnv(env, 1.3, risk, AugmentedCostMode.STANDARD, s0=s0)
     for j in range(n):
         traj = rollout(aug, feats, theta, substream(23, "aq", j), 20, params.gamma)
@@ -347,8 +353,8 @@ def _kernel_and_args(augmented: bool, n: int):
     theta = np.random.default_rng(6).normal(0, 0.8, feats.dim)
     theta[-1] += 4.0  # lean to wait, so episodes end at many different steps
     if augmented:
-        return rollout_batch_augmented, (feats, theta, 1.7, 29, ("blk",), n)
-    return rollout_batch, (feats, theta, 29, ("blk",), n)
+        return rollout_batch_augmented, (feats, theta, 1.7, _uniforms(feats, 29, ("blk",), n))
+    return rollout_batch, (feats, theta, _uniforms(feats, 29, ("blk",), n))
 
 
 def _assert_same_episodes(got, want, scores=True):
@@ -375,9 +381,9 @@ def test_rollouts_featurize_each_distinct_cost_once(monkeypatch, augmented):
     monkeypatch.setattr(feats, "per_action_batch", recording)
     n, s0, seed, path = 6000, 1.7, 31, ("dd",)
     if augmented:
-        batch = rollout_batch_augmented(feats, theta, s0, seed, path, n)
+        batch = rollout_batch_augmented(feats, theta, s0, _uniforms(feats, seed, path, n))
     else:
-        batch = rollout_batch(feats, theta, seed, path, n)
+        batch = rollout_batch(feats, theta, _uniforms(feats, seed, path, n))
     # one call per decision step, on distinct cost floats; path order moves a
     # cost's last bits, so a late step holds more floats than its k + 1 nodes
     assert [k for k, _ in featurized] == list(range(params.T))
@@ -433,9 +439,9 @@ def test_batch_episodes_equal_sequential_rollouts(f_u, f_d, p, gamma, T, augment
     theta[-1] += wait_lean
     s0 = 1.7 if augmented else None
     if augmented:
-        batch = rollout_batch_augmented(feats, theta, s0, seed, ("hyp",), 24)
+        batch = rollout_batch_augmented(feats, theta, s0, _uniforms(feats, seed, ("hyp",), 24))
     else:
-        batch = rollout_batch(feats, theta, seed, ("hyp",), 24)
+        batch = rollout_batch(feats, theta, _uniforms(feats, seed, ("hyp",), 24))
     _assert_equals_sequential(batch, env, feats, theta, s0, seed, ("hyp",))
 
 
@@ -454,16 +460,16 @@ def test_raw_map_featurizes_each_step_once_for_its_lifetime(monkeypatch):
         return per_action_batch(self, c, k, s)
 
     monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", recording)
-    first = rollout_batch(raw, theta, 41, ("raw",), 400)
+    first = rollout_batch(raw, theta, _uniforms(raw, 41, ("raw",), 400))
     assert first.lengths.max() == params.T + 1
     assert calls == [(False, k) for k in range(params.T)]
     calls.clear()
     theta2 = theta + np.random.default_rng(14).normal(0.0, 0.5, raw.dim)
-    second = rollout_batch(raw, theta2, 42, ("raw",), 300)
+    second = rollout_batch(raw, theta2, _uniforms(raw, 42, ("raw",), 300))
     assert calls == []
     monkeypatch.undo()
-    _assert_same_episodes(second, rollout_batch(OptStopPolicyFeatures(params), theta2, 42,
-                                                ("raw",), 300))
+    _assert_same_episodes(second, rollout_batch(OptStopPolicyFeatures(params), theta2,
+                                                _uniforms(raw, 42, ("raw",), 300)))
     _assert_equals_sequential(second, env, raw, theta2, None, 42, ("raw",))
 
     # a budget-aware rollout builds its own blocks, as the budget follows s0,
@@ -476,7 +482,7 @@ def test_raw_map_featurizes_each_step_once_for_its_lifetime(monkeypatch):
         theta = np.random.default_rng(15).normal(0.0, 0.5, aware.dim)
         theta[-1] += wait_lean
         calls.clear()
-        batch = rollout_batch_augmented(aware, theta, s0, 43, ("aware",), 200)
+        batch = rollout_batch_augmented(aware, theta, s0, _uniforms(aware, 43, ("aware",), 200))
         assert batch.lengths.max() == longest
         assert calls == [(True, k) for k in steps]
     monkeypatch.undo()
@@ -510,10 +516,11 @@ def test_softmax_runs_once_per_window_entered(monkeypatch):
             theta = np.random.default_rng(16).normal(0.0, 0.5, feats.dim)
             theta[-1] += wait_lean
             softmax_rows.clear()
+            u = _uniforms(feats, 44, ("win",), 200)
             if feats.include_s:
-                batch = rollout_batch_augmented(feats, theta, 1.7, 44, ("win",), 200)
+                batch = rollout_batch_augmented(feats, theta, 1.7, u)
             else:
-                batch = rollout_batch(feats, theta, 44, ("win",), 200)
+                batch = rollout_batch(feats, theta, u)
             last = min(batch.lengths.max(), params.T) - 1  # the last step any episode decides at
             lasts.add(int(last))
             # each window's rows, and the dead row of the episodes that have stopped
@@ -525,7 +532,7 @@ def test_softmax_runs_once_per_window_entered(monkeypatch):
     theta[aware.dim // 2 - 1] = 1000.0  # the accept block's bias
     featurized.clear()
     softmax_rows.clear()
-    batch = rollout_batch_augmented(aware, theta, 1.7, 45, ("now",), 200)
+    batch = rollout_batch_augmented(aware, theta, 1.7, _uniforms(aware, 45, ("now",), 200))
     assert np.all(batch.lengths == 1)
     assert featurized == [0] and softmax_rows == [1 + 1]
 
@@ -549,9 +556,9 @@ def test_cost_table_holds_every_simulated_cost(params, decision_floats):
     theta = np.zeros(feats.dim)
     theta[-1] = 1000.0
     n, seed, path = 6000, 51, ("wait",)
-    batch = rollout_batch(feats, theta, seed, path, n, with_scores=False)
-    assert np.all(batch.lengths == params.T + 1)
     u = substream_uniforms(seed, path, n, 2 * params.T)
+    batch = rollout_batch(feats, theta, u, with_scores=False)
+    assert np.all(batch.lengths == params.T + 1)
     c, losses, disc = np.full(n, params.c0), np.zeros(n), 1.0
     for k in range(params.T):
         assert np.isin(c, costs[k]).all()
@@ -569,6 +576,16 @@ def test_rollouts_without_scores(augmented):
     bare = kernel(*args, with_scores=False)
     assert bare.scores.shape == (n, 0)
     _assert_same_episodes(bare, kernel(*args), scores=False)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_rollouts_refuse_uniforms_of_the_wrong_shape(augmented):
+    kernel, args = _kernel_and_args(augmented, 5)
+    *head, u = args
+    assert u.shape == (5, 16)  # T = 8
+    for bad in (u[0], u[None], u[:, :-1], np.hstack([u, u[:, :1]])):
+        with pytest.raises(InputError, match=r"needs \(n, 16\)"):
+            kernel(*head, bad)
 
 
 def test_policy_features_shapes_and_scale():

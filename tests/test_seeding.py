@@ -37,10 +37,15 @@ def test_uniforms_across_blocks_and_strides():
 def test_uniforms_of_empty_batches_and_bad_ranges():
     assert substream_uniforms(0, ("x",), 0, 4).shape == (0, 4)
     assert substream_uniforms(0, ("x",), 3, 0).shape == (3, 0)
+    assert substream_uniforms(0, ("x", range(2)), 0, 4).shape == (2, 0, 4)
     # an episode index of 2^32 would take two entropy words: refused before allocating
     for n, m in ((-1, 2), (2, -1), (2**32 + 1, 2)):
         with pytest.raises(InputError):
             substream_uniforms(0, ("x",), n, m)
+    # so would a run index of 2^32; a run range is non-empty, from 0 up, with step 1
+    for runs in (range(4, 4), range(-1, 2), range(2**32 - 1, 2**32 + 1), range(0, 6, 2)):
+        with pytest.raises(InputError):
+            substream_uniforms(0, ("x", runs), 2, 3)
 
 
 def _shared_words(seed, path) -> int:
@@ -72,3 +77,11 @@ def test_uniforms_with_the_index_at_every_entropy_position(monkeypatch, seed, pa
         got = substream_uniforms(seed, path, n, m)
         assert (strides == [m]) is in_one_pass
         assert np.array_equal(got, _one_at_a_time(seed, path, n, m))
+    # a range of run indices, one more word before the episode index, is the
+    # stack of the calls per index; 3 runs of 1000 episodes cross a block
+    for runs in (range(0, 3), range(5, 6), range(2**32 - 2, 2**32)):
+        for n in (3, 1000):
+            got = substream_uniforms(seed, (*path, runs), n, m)
+            want = np.stack([substream_uniforms(seed, (*path, r), n, m) for r in runs])
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
