@@ -19,6 +19,11 @@ dynamics or terminal penalty of its own. Every critic, the raw-process
 one included, moves by ``td_step``, the one linear TD(0) step. Updates
 inside one step all read the pre-step iterates (simultaneous update
 convention).
+
+The loop featurizes each state once. A state's critic features carry
+over from the step that reached it, and a policy map on the critic's
+grid builds a decision state's features from them. The quantile step
+reads both perturbed initial states from one ``at_initial`` call.
 """
 from __future__ import annotations
 
@@ -214,6 +219,10 @@ def ac_train(
         u0 = iterate0.u if iterate0.u is not None else np.zeros(original_critic_features.dim)
         u = np.asarray(u0, dtype=float).copy()
     k_global = 1
+    # a policy map on the critic's grid reads a decision state's RBF row from
+    # the critic features the loop holds for that state
+    same_grid = getattr(policy_features, "same_grid", None)
+    shared = same_grid is not None and same_grid(critic_features)
 
     def episode(learn: bool) -> tuple[float, int, float]:
         """Run one episode, stepping the critics and, if ``learn``, theta, nu and lambda.
@@ -237,17 +246,18 @@ def ac_train(
         # only the first and the terminal state build their own
         phi = f = None
         while True:
+            phi = critic_features(state) if phi is None else phi
             glp = None
             action = 0
             if aug.n_actions(state) > 1:
-                feats = policy_features.per_action(state)
+                feats = (policy_features.per_action(state, phi) if shared
+                         else policy_features.per_action(state))
                 probs = action_probabilities(theta, feats)
                 action = sample_action(probs, rng.random())
                 if learn:
                     glp = grad_log_prob(feats, probs, action)
             next_state, cost_bar, env_cost, done = aug.step_full(state, action, rng)
 
-            phi = critic_features(state) if phi is None else phi
             phi_next = None
             if done:
                 v_phi_next = 0.0
@@ -277,11 +287,12 @@ def ac_train(
 
             if step_multipliers:
                 dk = perturbation(k_global)
+                phi_plus, phi_minus = critic_features.at_initial((nu_old + dk, nu_old - dk))
                 g = spsa_nu_gradient(
                     lam_old,
                     v,
-                    critic_features.at_initial(nu_old + dk),
-                    critic_features.at_initial(nu_old - dk),
+                    phi_plus,
+                    phi_minus,
                     dk,
                     alpha=risk.alpha,
                     alternative=alternative,

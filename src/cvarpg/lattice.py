@@ -29,6 +29,20 @@ from .policy import action_probabilities
 from .risk import EmpiricalDistribution
 
 
+def _unique_rules(rules: np.ndarray) -> np.ndarray:
+    """The distinct boolean rules of a stack, in ``np.unique(axis=0)``'s order.
+
+    Each rule's bits, packed first bit highest, form one byte string, and
+    byte strings compare as the rules do, first node first. One unique
+    over those strings is thousands of times faster than ``np.unique``'s
+    row-wise sort.
+    """
+    packed = np.packbits(rules.reshape(len(rules), -1), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return rules[first]
+
+
 class StoppingLattice:
     """Node losses of the stopping problem with exact forward and backward passes.
 
@@ -146,7 +160,7 @@ class StoppingLattice:
         rules = np.concatenate([
             self.best_stop_rule(self.loss[None] + lam * excess)[1] for lam in lams
         ])
-        rules = np.unique(rules.reshape(len(rules), -1), axis=0).reshape(-1, *self.loss.shape)
+        rules = _unique_rules(rules)
         weights = self.stop_weights(rules).reshape(len(rules), -1)
         losses = self.loss.reshape(-1)
         means = weights @ losses

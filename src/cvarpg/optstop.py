@@ -32,12 +32,17 @@ The softmax runs once per doubling window of steps, [0, 1), [1, 3),
 first enters the window: a raw map keeps them for its lifetime, a
 budget-aware rollout builds its own. So a rollout makes a fixed number
 of numpy calls per step and per window, whatever its episode count. The
-actor-critic steps one state at a time, and its traffic rarely repeats a
-state, so there the cost of one call is what counts: ``per_action`` and
-the critic features clamp one state's coordinates in plain Python
-(``features.clamp``) and build its unit row as one array, which then goes
-through the same ``RbfGrid.batch`` as the rollouts' rows. Both paths give
-the same features bit for bit.
+actor-critic steps one state at a time, so there the cost of one call is
+what counts: ``per_action`` and the critic features clamp one state's
+coordinates in plain Python (``features.clamp``) and build its unit row
+as one array, which then goes through the same ``RbfGrid.batch`` as the
+rollouts' rows. Both paths give the same features bit for bit. The
+actor-critic builds each state's RBF row once: the critic builds it, and
+a policy map on the same grid (``same_grid``) reads it from the critic's
+features (``per_action(state, phi)``). ``at_initial`` of several budgets
+makes one grid call. A budget-blind map keeps each state's features,
+read-only, by (c, k) for its lifetime, as the kernel's raw map keeps its
+windows; a budget-aware one builds them afresh, as the budget moves with nu.
 """
 from __future__ import annotations
 
@@ -190,6 +195,13 @@ class _StateFeatures:
             cols.append(self.s_axis.unit(s))
         return cols
 
+    def same_grid(self, other) -> bool:
+        """Whether ``other`` gives every state this map's RBF row: one problem, axes and grid."""
+        return (isinstance(other, _StateFeatures) and other.params == self.params
+                and other.include_s == self.include_s and other.c_axis == self.c_axis
+                and other.s_axis == self.s_axis and other.rbf.width == self.rbf.width
+                and np.array_equal(other.rbf.centers, self.rbf.centers))
+
 
 class OptStopPolicyFeatures(_StateFeatures):
     """Per-action RBF features of a decision state, raw or augmented.
@@ -201,7 +213,8 @@ class OptStopPolicyFeatures(_StateFeatures):
     outrun the critic early on. Only decision states (k < T) are
     featurized: at the horizon acceptance is forced and the terminal state
     has no action, so no caller draws an action there
-    (``OptStopEnv.n_actions``).
+    (``OptStopEnv.n_actions``). A budget-blind map keeps each state's
+    features, read-only, by (c, k) for its lifetime.
     """
 
     def __init__(
@@ -220,12 +233,28 @@ class OptStopPolicyFeatures(_StateFeatures):
         # raw rollouts' features of each window of steps of ``cost_table(params)``,
         # by its first step, built when a rollout first enters the window and kept
         self._window_blocks: dict = {}
+        # a budget-blind map's ``per_action`` rows by (c, k), kept once built
+        self._rows: dict = {}
 
-    def per_action(self, state) -> np.ndarray:
-        """Features of one decision state, (2, dim)."""
+    def per_action(self, state, phi: np.ndarray | None = None) -> np.ndarray:
+        """Features of one decision state, (2, dim).
+
+        ``phi``, if given, is the state's features from a map on this map's
+        grid (``same_grid``), whose RBF row leads them, as it leads the
+        critic's: the row is read there, not built again.
+        """
         x, s = (state.env_state, state.s) if isinstance(state, AugState) else (state, None)
-        z = self._unit_inputs(x.c, x.k, s)
-        return action_blocks(self.scale * self.rbf(z), self.n_actions)
+        if self.include_s:
+            return self._blocks(x, s, phi)
+        out = self._rows.get((x.c, x.k))
+        if out is None:
+            out = self._rows[x.c, x.k] = self._blocks(x, None, phi)
+            out.flags.writeable = False
+        return out
+
+    def _blocks(self, x: OptStopState, s, phi) -> np.ndarray:
+        row = self.rbf(self._unit_inputs(x.c, x.k, s)) if phi is None else phi[:self.rbf.n_features]
+        return action_blocks(self.scale * row, self.n_actions)
 
     def per_action_batch(self, c: np.ndarray, k, s: np.ndarray | None = None) -> np.ndarray:
         """Features of len(c) raw states, (m, 2, dim); k is one step index or one per state."""
@@ -251,6 +280,9 @@ class OptStopCriticFeatures(_StateFeatures):
     stability) while representing the kinked terminal penalty exactly up to
     the clamp. Interior and terminal blocks never overlap. The absorbing
     sink after the terminal state is never featurized: its value is zero.
+    A budget-blind map keeps each interior state's features, read-only, by
+    (c, k) for its lifetime; a budget-aware one keeps nothing, as the
+    budget moves with nu.
     """
 
     def __init__(
@@ -267,12 +299,14 @@ class OptStopCriticFeatures(_StateFeatures):
         self.n_interior = self.rbf.n_features + self.knots.size
         self.dim = self.n_interior + 3
         self._x0 = OptStopState(params.c0, 0)
+        # a budget-blind map's interior rows by (c, k), kept once built
+        self._rows: dict = {}
 
     def __call__(self, state: AugState | OptStopState) -> np.ndarray:
         """Features of an augmented state or of a raw one, which is interior and has no budget."""
-        out = np.zeros(self.dim)
-        nb, ni = self.rbf.n_features, self.n_interior
         if isinstance(state, AugState) and state.at_terminal:
+            out = np.zeros(self.dim)
+            ni = self.n_interior
             if self.include_s:
                 s = clamp(state.s, self.s_axis.lo, self.s_axis.hi)
                 out[ni:] = (1.0, s / self.s_scale, max(-s, 0.0) / self.s_scale)
@@ -280,15 +314,40 @@ class OptStopCriticFeatures(_StateFeatures):
                 out[ni] = 1.0
             return out
         x, s = (state.env_state, state.s) if isinstance(state, AugState) else (state, None)
+        if self.include_s:
+            return self._interior(x, s)
+        out = self._rows.get((x.c, x.k))
+        if out is None:
+            out = self._rows[x.c, x.k] = self._interior(x, None)
+            out.flags.writeable = False
+        return out
+
+    def _interior(self, x: OptStopState, s: float | None) -> np.ndarray:
+        """Features of the interior state of cost-step x and budget s."""
+        out = np.zeros(self.dim)
+        nb, ni = self.rbf.n_features, self.n_interior
         z = self._unit_inputs(x.c, x.k, s)
         if self.include_s:
             np.maximum(self.knots - s / x.c, 0.0, out=out[nb:ni])
         out[:nb] = self.rbf(z)
         return out
 
-    def at_initial(self, s: float) -> np.ndarray:
-        """Features of the initial environment state with budget s."""
-        return self(AugState(self._x0, s))
+    def at_initial(self, s) -> np.ndarray:
+        """Features of the initial environment state with budget s, (dim,).
+
+        A sequence of budgets gives one row each, (len(s), dim), from one
+        grid call; each row equals the one-budget call bit for bit.
+        """
+        budgets = np.asarray(s, dtype=float)
+        if budgets.ndim == 0:
+            return self(AugState(self._x0, s))
+        x, nb, ni = self._x0, self.rbf.n_features, self.n_interior
+        z = [self._unit_inputs(x.c, x.k, b) for b in budgets.tolist()]
+        out = np.zeros((budgets.size, self.dim))
+        out[:, :nb] = self.rbf.batch(np.array(z, dtype=float))
+        if self.include_s:
+            np.maximum(self.knots - budgets[:, None] / x.c, 0.0, out=out[:, nb:ni])
+        return out
 
 
 @functools.lru_cache(maxsize=16)

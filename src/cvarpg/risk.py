@@ -56,6 +56,23 @@ class RiskSpec:
             raise InputError(f"gamma must be in (0,1), got {self.gamma}")
 
 
+# OpenBLAS runs a dot product of more than 10 000 terms on several threads,
+# and the split moves the last bits of the sum with the thread count, which
+# defaults to the core count. Dots of at most that many terms run on one
+# thread, so longer ones are summed chunk by chunk, in order.
+_DOT_CHUNK = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` of two vectors, with the same bits on any number of BLAS threads."""
+    if a.size <= _DOT_CHUNK:
+        return float(a @ b)
+    total = 0.0
+    for i in range(0, a.size, _DOT_CHUNK):
+        total += float(a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK])
+    return total
+
+
 class EmpiricalDistribution:
     """Finite weighted sample of real losses.
 
@@ -86,11 +103,11 @@ class EmpiricalDistribution:
         return self.samples.size
 
     def mean(self) -> float:
-        return float(self.weights @ self.samples)
+        return _dot(self.weights, self.samples)
 
     def variance(self) -> float:
         m = self.mean()
-        return float(self.weights @ (self.samples - m) ** 2)
+        return _dot(self.weights, (self.samples - m) ** 2)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -117,7 +134,7 @@ def h_alpha(dist: EmpiricalDistribution, nu: float, alpha: float) -> float:
     """Rockafellar-Uryasev surrogate nu + E[(Z - nu)^+] / (1 - alpha)."""
     _check_alpha(alpha)
     excess = np.maximum(dist.samples - nu, 0.0)
-    return float(nu + (dist.weights @ excess) / (1.0 - alpha))
+    return float(nu + _dot(dist.weights, excess) / (1.0 - alpha))
 
 
 def cvar(dist: EmpiricalDistribution, alpha: float) -> float:

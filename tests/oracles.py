@@ -272,8 +272,11 @@ class ChainFeatures:
     def __call__(self, state) -> np.ndarray:
         return self.chain.one_hot(state)
 
-    def at_initial(self, s: float) -> np.ndarray:
-        return self(AugState(self.x0, s))
+    def at_initial(self, s) -> np.ndarray:
+        """One row for one budget; a sequence of budgets gives one row each, as the library's."""
+        if np.ndim(s) == 0:
+            return self(AugState(self.x0, s))
+        return np.stack([self(AugState(self.x0, b)) for b in s])
 
 
 def make_random_terminating_mdp(rng) -> FiniteMDP:

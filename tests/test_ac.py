@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cvarpg import ac, harness
 from cvarpg.ac import (
     AcVariant,
     ac_lambda_update_alternative,
@@ -11,8 +14,11 @@ from cvarpg.ac import (
     spsa_nu_gradient,
     spsa_nu_update,
 )
+from cvarpg.config import config_from_mapping, parse_config_text
 from cvarpg.errors import InputError
+from cvarpg.features import RbfGrid
 from cvarpg.mdp import AugmentedCostMode, AugmentedEnv
+from cvarpg.optstop import OptStopCriticFeatures, OptStopPolicyFeatures
 from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
 from cvarpg.schedules import (
     Box,
@@ -506,3 +512,62 @@ def test_one_softmax_per_decision(monkeypatch):
     assert len(result.history) == 12
     assert counts["decisions"] >= 12
     assert counts["softmax"] == counts["decisions"]
+
+
+def _certified_config(algorithm, **keys):
+    """Criterion 6's certified instance, the benchmark's, with a short AC run."""
+    keys = {"algorithm": algorithm, "env.p_h": 0.01, "env.f_d": 0.7, "env.p": 0.4,
+            "risk.beta": 2.5, "ac.tuning_episodes": 20, "ac.episode_cap": 20,
+            "ac.critic_warmup_episodes": 5, **keys}
+    return config_from_mapping(parse_config_text("".join(f"{k} = {v}\n" for k, v in keys.items())))
+
+
+@pytest.mark.parametrize("centers", [4, 3])
+@pytest.mark.parametrize("algorithm", ["AC", "AC_CVAR_SPSA", "AC_CVAR_SEMI", "AC_CVAR_ALT"])
+def test_one_grid_call_per_actor_critic_state(monkeypatch, algorithm, centers):
+    # on one grid the policy reads a decision state's row from the critic's
+    # features, the quantile step reads both perturbed budgets from one call,
+    # and a budget-blind map builds a state's row on its first visit only;
+    # on two grids the policy builds its own rows, one per_action a decision
+    cfg = _certified_config(algorithm, **{"features.policy_centers": centers,
+                                          "features.critic_centers": 4})
+    calls, visits, on = Counter(), [], [False]
+
+    def spy(name, method):
+        def counted(self, *args, **kwargs):
+            calls[name] += on[0]
+            return method(self, *args, **kwargs)
+        return counted
+
+    def stepped(self, state, action, rng, original=AugmentedEnv.step_full):
+        if on[0] and not state.at_terminal:
+            visits.append((state.env_state.c, state.env_state.k))
+        return original(self, state, action, rng)
+
+    def trained(*args, **kwargs):  # counts inside the actor-critic loop only
+        on[0] = True
+        try:
+            return ac.ac_train(*args, **kwargs)
+        finally:
+            on[0] = False
+
+    monkeypatch.setattr(RbfGrid, "batch", spy("grid", RbfGrid.batch))
+    monkeypatch.setattr(OptStopPolicyFeatures, "per_action",
+                        spy("per_action", OptStopPolicyFeatures.per_action))
+    monkeypatch.setattr(OptStopCriticFeatures, "at_initial",
+                        spy("at_initial", OptStopCriticFeatures.at_initial))
+    monkeypatch.setattr(AugmentedEnv, "step_full", stepped)
+    monkeypatch.setattr(harness, "ac_train", trained)
+    result = harness.train_policy(cfg, 1)
+
+    decisions = [x for x in visits if x[1] < cfg.env_T]
+    assert calls["per_action"] == len(decisions) > 0
+    # the quantile step runs at every step of a learning episode of the incremental variants
+    incremental = algorithm in ("AC_CVAR_SPSA", "AC_CVAR_ALT")
+    nu_steps = sum(rec["episode_steps"] + 1 for rec in result.history) if incremental else 0
+    assert calls["at_initial"] == nu_steps
+    aware = algorithm != "AC"
+    critic = len(visits) if aware else len(set(visits))
+    policy = 0 if centers == 4 else len(decisions) if aware else len(set(decisions))
+    raw_critic = len(set(visits)) if algorithm == "AC_CVAR_ALT" else 0
+    assert calls["grid"] == critic + policy + raw_critic + nu_steps

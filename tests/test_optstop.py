@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cvarpg import optstop
 from cvarpg.errors import InputError
-from cvarpg.features import AxisScale
+from cvarpg.features import AxisScale, action_blocks
 from cvarpg.lattice import StoppingLattice
 from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState
 from cvarpg.optstop import (
@@ -292,6 +292,42 @@ def test_lattice_optima_on_default_constants():
     assert rule[0, 0]
     for beta in (1.9, 2.5):
         assert not trade_off_certificate(PAPER, 0.9, beta, 0.9)["ok"]
+
+
+@pytest.mark.parametrize("params", [OptStopParams(T=14, p_h=0.01, f_d=0.7, p=0.4),
+                                    OptStopParams(T=14)])
+def test_constrained_scan_keeps_np_unique_rows_and_order(monkeypatch, params):
+    # the scan's distinct rules, from packed bytes, are np.unique(axis=0)'s in its order,
+    # on criterion 6's certified instance and on the defaults
+    from cvarpg import lattice as lattice_module
+
+    scanned = []
+
+    def recorded(rules, original=lattice_module._unique_rules):
+        scanned.append(rules)
+        return original(rules)
+
+    monkeypatch.setattr(lattice_module, "_unique_rules", recorded)
+    StoppingLattice(params).constrained_optimum(0.9, 1e9)
+    (rules,) = scanned
+    reference = np.unique(rules.reshape(len(rules), -1), axis=0).reshape(-1, *rules.shape[1:])
+    assert len(rules) > len(reference) > 0
+    got = lattice_module._unique_rules(rules)
+    assert got.dtype == reference.dtype and np.array_equal(got, reference)
+
+
+def test_unique_rules_order_rules_as_np_unique_does():
+    # stacks with repeats, and rules that differ in any one node, the last
+    # one (next to the packed bytes' zero padding) too
+    from cvarpg.lattice import _unique_rules
+
+    rng = np.random.default_rng(3)
+    rows = rng.random((40, 5, 5)) < 0.5
+    flips = np.repeat(rows[:1], 26, axis=0)
+    flips.reshape(26, -1)[np.arange(1, 26), np.arange(25)] ^= True
+    stack = np.concatenate([rows, rows[::-1], flips, np.zeros((2, 5, 5), bool), np.ones((2, 5, 5), bool)])
+    reference = np.unique(stack.reshape(len(stack), -1), axis=0).reshape(-1, 5, 5)
+    assert np.array_equal(_unique_rules(stack), reference)
 
 
 def test_lattice_optima_by_brute_force():
@@ -628,6 +664,76 @@ def test_policy_and_critic_share_one_grid():
     for c, k, s in zip(costs.tolist(), steps.tolist(), budgets.tolist()):
         state = AugState(OptStopState(c, k), s)
         assert _same_bits(policy.per_action(state)[ACCEPT, :nb], critic(state)[:nb])
+
+
+def test_policy_reads_its_row_from_a_critic_on_one_grid():
+    # given the critic's features of a state on its own grid, the policy
+    # builds that state's rows from them, bit for bit
+    params = OptStopParams(p_h=0.01, f_d=0.7, p=0.4)
+    policy = OptStopPolicyFeatures(params, include_s=True, scale=0.125)
+    critic = OptStopCriticFeatures(params, include_s=True)
+    assert policy.same_grid(critic) and critic.same_grid(policy)
+    rng = np.random.default_rng(5)
+    for c, k, s in zip(np.exp(rng.uniform(-8.0, 9.0, 30)).tolist(),
+                       rng.integers(0, params.T, 30).tolist(), rng.uniform(-30.0, 30.0, 30).tolist()):
+        state = AugState(OptStopState(c, k), s)
+        assert _same_bits(policy.per_action(state, critic(state)), policy.per_action(state))
+    # any other problem, budget axis, grid or width is another row
+    others = [
+        OptStopCriticFeatures(params, centers_per_dim=3),
+        OptStopCriticFeatures(params, include_s=False),
+        OptStopCriticFeatures(params, s_range=(-20.0, 21.0)),
+        OptStopCriticFeatures(params, width_scale=0.9),
+        OptStopCriticFeatures(OptStopParams(p_h=0.01, f_d=0.7, p=0.4, T=19)),
+        SimpleNamespace(params=params, include_s=True, rbf=critic.rbf),
+    ]
+    assert not any(policy.same_grid(other) for other in others)
+
+
+def test_at_initial_of_two_budgets_equals_two_single_calls():
+    # the quantile step reads both perturbed budgets from one grid call
+    params = OptStopParams(p_h=0.01, f_d=0.7, p=0.4)
+    rng = np.random.default_rng(31)
+    nus = rng.uniform(-30.0, 30.0, 40).tolist() + [20.0, -20.0, 0.0, -0.0]
+    deltas = rng.uniform(0.0, 5.0, 40).tolist() + [0.0, 0.5, 0.0, 1e-300]
+    for critic in (OptStopCriticFeatures(params), OptStopCriticFeatures(params, include_s=False),
+                   OptStopCriticFeatures(params, centers_per_dim=3, s_range=(-5.0, 9.0),
+                                         width_scale=0.7)):
+        for nu, dk in zip(nus, deltas):
+            pair = critic.at_initial((nu + dk, nu - dk))
+            singles = np.stack([critic.at_initial(nu + dk), critic.at_initial(nu - dk)])
+            assert pair.shape == (2, critic.dim) and pair.tobytes() == singles.tobytes()
+        assert critic.at_initial([1.5]).tobytes() == critic.at_initial(1.5).tobytes()
+
+
+def test_budget_blind_maps_keep_their_rows():
+    # a budget-blind map builds a state's features once and hands out the same
+    # read-only array on every revisit; a budget-aware one builds them afresh
+    params = OptStopParams(p_h=0.01, f_d=0.7, p=0.4)
+    policy = OptStopPolicyFeatures(params, include_s=False, scale=0.125)
+    critic = OptStopCriticFeatures(params, include_s=False)
+    x = OptStopState(0.7, 1)
+    row = critic.rbf([critic.c_axis.unit(0.7), 1 / params.T])
+    expected = (action_blocks(0.125 * row, 2), np.concatenate([row, np.zeros(3)]))
+    for featurize, built in zip((policy.per_action, critic), expected):
+        first = featurize(x)
+        assert _same_bits(first, built)
+        # the budget of an augmented state does not enter the key
+        assert featurize(OptStopState(0.7, 1)) is first
+        assert featurize(AugState(OptStopState(0.7, 1), 3.0)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[..., 0] = 1.0
+        assert featurize(OptStopState(0.7, 2)) is not first
+    # the policy's row read from the critic's is kept the same way
+    shared = OptStopPolicyFeatures(params, include_s=False, scale=0.125)
+    kept = shared.per_action(x, critic(x))
+    assert _same_bits(kept, policy.per_action(x)) and shared.per_action(x) is kept
+    aware = OptStopCriticFeatures(params)
+    state = AugState(x, 3.0)
+    assert aware(state) is not aware(state) and aware(state).flags.writeable
+    aware_policy = OptStopPolicyFeatures(params, include_s=True)
+    assert aware_policy.per_action(state) is not aware_policy.per_action(state)
 
 
 def test_critic_features_blocks():

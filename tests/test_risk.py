@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,3 +245,43 @@ def test_risk_spec_validation():
         RiskSpec(0.9, 1.9, 10.0, 1.0)
     with pytest.raises(InputError):
         RiskSpec(0.9, np.nan, 10.0, 0.9)
+
+
+_MOMENTS = """
+import numpy as np
+from cvarpg.risk import EmpiricalDistribution, cvar
+dist = EmpiricalDistribution(np.random.default_rng(7).lognormal(0.0, 1.0, 20_001))
+print(dist.mean().hex(), dist.variance().hex(), cvar(dist, 0.9).hex())
+"""
+
+
+def test_moments_do_not_hang_on_the_blas_thread_count():
+    # OpenBLAS threads a dot of more than 10 000 terms, and its split moves
+    # the last bits with the thread count; the risk reductions must not
+    import cvarpg
+
+    src = str(Path(cvarpg.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", _MOMENTS], env=env, capture_output=True,
+                             text=True, check=True)
+        out.append(res.stdout)
+    assert out[0] == out[1] and out[0].count("0x") == 3
+
+
+def test_long_dots_keep_the_bits_of_one_blas_call_up_to_10000_terms():
+    rng = np.random.default_rng(8)
+    for n in (1, 9_999, 10_000):
+        dist = EmpiricalDistribution(rng.lognormal(0.0, 1.0, n))
+        assert dist.mean() == float(dist.weights @ dist.samples)
+        assert dist.variance() == float(dist.weights @ (dist.samples - dist.mean()) ** 2)
+        nu = float(np.median(dist.samples))
+        assert h_alpha(dist, nu, 0.9) == float(
+            nu + (dist.weights @ np.maximum(dist.samples - nu, 0.0)) / (1.0 - 0.9))
+    # longer dots add chunks of 10 000 in order
+    dist = EmpiricalDistribution(rng.lognormal(0.0, 1.0, 25_000))
+    w, x = dist.weights, dist.samples
+    assert dist.mean() == (float(w[:10_000] @ x[:10_000]) + float(w[10_000:20_000] @ x[10_000:20_000])
+                           + float(w[20_000:] @ x[20_000:]))
