@@ -22,7 +22,7 @@ import numpy as np
 from .config import load_config, read_text
 from .errors import InputError, SimulationError
 from .harness import compare, evaluate_and_write, load_params, report_from_text, run_experiment
-from .lattice import StoppingLattice
+from .lattice import kept_lattice
 from .risk import cvar, tail_probability
 from .seeding import MAX_EPISODES
 
@@ -100,7 +100,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
-    lattice = StoppingLattice(config.env_params())
+    lattice = kept_lattice(config.env_params())
     dist = lattice.distribution(np.full(lattice.loss.shape, _ORACLE_ACCEPTANCE[args.policy]))
     alpha, beta = config.risk_alpha, config.risk_beta
     print(f"atoms={len(dist)} mean={dist.mean():.9f} variance={dist.variance():.9f}")

@@ -19,8 +19,25 @@ Stop rules are (T+1, T+1) arrays of acceptance probabilities indexed
 [k, u]; entries with u > k are ignored and row T is forced to accept.
 Parameters and feature maps are read by attribute only, so the module
 imports ``policy`` for the Boltzmann softmax but not ``optstop``.
+
+A lattice computes everything that depends only on its problem once, in
+its constructor: the node costs and losses, the decision nodes, and the
+distinct node losses with each node's index among them. Its arrays are
+read-only. ``kept_lattice(params)`` builds one lattice per problem on
+first use and keeps it, as ``optstop.cost_table`` keeps the rollout's
+table, so a repeated oracle call on one problem does only the work that
+depends on the stop rule: the forward pass and one ``np.bincount`` over
+the nodes. A kept lattice holds three (T+1)^2 arrays (costs, losses and
+which entries are nodes) and five of at most (T+1)(T+2)/2 entries: 16 KB
+in all at T = 20, for as long as the process runs, for each of the 16
+problems used last. A budget-blind policy map keeps its features at the
+decision nodes as well, by the lattice's problem, for the map's lifetime:
+210 x 2 x 34 doubles (114 KB) per problem at T = 20 for the shipped raw
+map (``OptStopPolicyFeatures.node_blocks``).
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,7 +65,12 @@ class StoppingLattice:
 
     Node (k, u) has loss fees[k] + disc[k] cost[k, u], with the loss prefix
     that the Monte Carlo rollout kernel shares,
-    ``params.fees_and_discounts()``.
+    ``params.fees_and_discounts()``. The constructor also finds the
+    T(T+1)/2 decision nodes (k < T), row by row (``decision_k``,
+    ``decision_u``, ``decision_cost``), and the sorted distinct node
+    losses (``node_losses``) with the index of each valid node's loss
+    among them, row by row (``node_atom``). Every array is read-only, so
+    one lattice can serve every caller on its problem (``kept_lattice``).
     """
 
     def __init__(self, params):
@@ -65,7 +87,12 @@ class StoppingLattice:
         fees, disc = params.fees_and_discounts()
         self.cost = cost
         self.loss = np.where(self.valid, fees[:, None] + disc[:, None] * cost, 0.0)
-        self.node_losses = np.unique(self.loss[self.valid])
+        self.decision_k, self.decision_u = np.nonzero(self.valid[:T])
+        self.decision_cost = cost[self.decision_k, self.decision_u]
+        self.node_losses, self.node_atom = np.unique(self.loss[self.valid], return_inverse=True)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def best_stop_rule(self, payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backward induction for min E[payoff at the stopping node].
@@ -86,43 +113,53 @@ class StoppingLattice:
         return value[..., 0], stop
 
     def stop_weights(self, rules: np.ndarray) -> np.ndarray:
-        """Probability of ending the episode at each node, per stop rule."""
+        """Probability of ending the episode at each node, per stop rule.
+
+        Row T accepts whatever the rule says, so its weights are the
+        probabilities of reaching it.
+        """
         p, T = self.params, self.params.T
         rules = np.asarray(rules, dtype=float)
         batch = rules.shape[:-2]
         weights = np.zeros(rules.shape)
         reach = np.ones(batch + (1,))
-        for k in range(T + 1):
-            accept = np.ones(batch + (k + 1,)) if k == T else rules[..., k, :k + 1]
-            weights[..., k, :k + 1] = reach * accept
+        for k in range(T):
+            accept = rules[..., k, :k + 1]
+            np.multiply(reach, accept, out=weights[..., k, :k + 1])
             carry = reach * (1.0 - accept)
             reach = np.zeros(batch + (k + 2,))
             reach[..., 1:] += p.p * carry
             reach[..., :-1] += (1.0 - p.p) * carry
+        weights[..., T, :] = reach
         return weights
 
     def distribution(self, rule: np.ndarray) -> EmpiricalDistribution:
-        """Exact loss distribution of a stop rule: sorted atoms, equal losses merged."""
-        weights = self.stop_weights(rule)
-        keep = self.valid & (weights > 0.0)
-        losses, atom = np.unique(self.loss[keep], return_inverse=True)
-        w = np.bincount(atom, weights=weights[keep])
-        return EmpiricalDistribution(losses, w / w.sum())
+        """Exact loss distribution of a stop rule: sorted atoms, equal losses merged.
+
+        An atom's weight is the sum of its nodes' positive weights, added
+        row by row; the atoms that no such node reaches are left out.
+        """
+        weights = self.stop_weights(rule)[self.valid]
+        keep = weights > 0.0
+        w = np.bincount(self.node_atom[keep], weights=weights[keep],
+                        minlength=self.node_losses.size)
+        reached = w > 0.0
+        w = w[reached]
+        return EmpiricalDistribution(self.node_losses[reached], w / w.sum())
 
     def node_rule(self, feats, theta, s0: float | None = None) -> np.ndarray:
         """Acceptance probabilities (action 0) of a Boltzmann policy at every node.
 
-        One ``feats.per_action_batch`` call and one softmax over the
-        T(T+1)/2 decision nodes. A policy that reads the budget is Markov
-        on the lattice too: every node of step k has the budget
+        One softmax over the T(T+1)/2 decision nodes, whose features come
+        from ``feats.node_blocks``: built in one call, or kept by a
+        budget-blind map. A policy that reads the budget is Markov on the
+        lattice too: every node of step k has the budget
         ``params.budgets(s0)[k]``, whatever the moves.
         """
         T = self.params.T
-        k, u = np.nonzero(self.valid[:T])
-        budget = None if s0 is None else self.params.budgets(s0)[k]
-        probs = action_probabilities(theta, feats.per_action_batch(self.cost[k, u], k, budget))
+        probs = action_probabilities(theta, feats.node_blocks(self, s0))
         rule = np.ones((T + 1, T + 1))
-        rule[k, u] = probs[:, 0]
+        rule[self.decision_k, self.decision_u] = probs[:, 0]
         return rule
 
     def mean_optimum(self) -> tuple[float, np.ndarray]:
@@ -171,3 +208,9 @@ class StoppingLattice:
             raise InputError(f"no scanned stop rule meets CVaR <= {beta}")
         best = int(feasible[np.argmin(means[feasible])])
         return self.distribution(rules[best]), rules[best]
+
+
+@functools.lru_cache(maxsize=16)
+def kept_lattice(params) -> StoppingLattice:
+    """The lattice of ``params``, built on first use and kept; callers share it."""
+    return StoppingLattice(params)

@@ -8,7 +8,8 @@ f_d*c. All per-step costs are discounted by gamma^k in the episode loss.
 Besides the step API this module provides the feature maps, batched
 lockstep rollouts and the exact loss distribution of a fixed policy at
 any horizon, from the recombining cost lattice of
-``lattice.StoppingLattice``. ``OptStopParams`` holds the geometry that
+``lattice.StoppingLattice``, kept once per problem
+(``lattice.kept_lattice``). ``OptStopParams`` holds the geometry that
 all of them read: the cost envelope (``cost_range``), the budget at each
 decision step (``budgets``) and the loss prefix (``fees_and_discounts``).
 The policy and critic feature maps share one base, the same unit
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import InputError
 from .features import AxisScale, RbfGrid, action_blocks, clamp
-from .lattice import StoppingLattice
+from .lattice import kept_lattice
 from .mdp import AugState
 from .policy import action_probabilities, action_scores, sample_action
 from .risk import EmpiricalDistribution
@@ -214,7 +215,8 @@ class OptStopPolicyFeatures(_StateFeatures):
     featurized: at the horizon acceptance is forced and the terminal state
     has no action, so no caller draws an action there
     (``OptStopEnv.n_actions``). A budget-blind map keeps each state's
-    features, read-only, by (c, k) for its lifetime.
+    features, read-only, by (c, k) for its lifetime, and the features of
+    a lattice's decision nodes by the lattice's problem (``node_blocks``).
     """
 
     def __init__(
@@ -235,6 +237,8 @@ class OptStopPolicyFeatures(_StateFeatures):
         self._window_blocks: dict = {}
         # a budget-blind map's ``per_action`` rows by (c, k), kept once built
         self._rows: dict = {}
+        # a budget-blind map's ``node_blocks`` by the lattice's problem, kept once built
+        self._node_blocks: dict = {}
 
     def per_action(self, state, phi: np.ndarray | None = None) -> np.ndarray:
         """Features of one decision state, (2, dim).
@@ -261,6 +265,26 @@ class OptStopPolicyFeatures(_StateFeatures):
         cols = self._unit_inputs(c, np.full(len(c), k), s)
         z = np.stack(cols, axis=1)
         return action_blocks(self.scale * self.rbf.batch(z), self.n_actions)
+
+    def node_blocks(self, lattice, s0: float | None = None) -> np.ndarray:
+        """Features of the decision nodes of a ``lattice.StoppingLattice``, row by row.
+
+        One ``per_action_batch`` call over the T(T+1)/2 nodes; every node
+        of step k has the budget ``lattice.params.budgets(s0)[k]``. A
+        budget-blind map keeps the array, read-only, by the lattice's
+        problem for its lifetime, as it keeps its rollout windows; a
+        budget-aware one builds it on every call, as its budget follows s0,
+        and refuses a call without s0.
+        """
+        c, k = lattice.decision_cost, lattice.decision_k
+        if self.include_s:
+            budget = None if s0 is None else lattice.params.budgets(s0)[k]
+            return self.per_action_batch(c, k, budget)
+        out = self._node_blocks.get(lattice.params)
+        if out is None:
+            out = self._node_blocks[lattice.params] = self.per_action_batch(c, k)
+            out.flags.writeable = False
+        return out
 
 
 BUDGET_KNOTS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -560,10 +584,12 @@ def enumerate_loss_distribution(
 ) -> EmpiricalDistribution:
     """Exact loss distribution of the raw-state Boltzmann policy of feats/theta, at any T.
 
-    It comes from the cost lattice; atoms are sorted, equal losses merged.
-    An explicit ``max_horizon`` refuses a longer horizon.
+    It comes from the problem's kept cost lattice (``lattice.kept_lattice``);
+    atoms are sorted, equal losses merged. A budget-blind map keeps its
+    features at the lattice's nodes, so a repeated call on one problem
+    featurizes nothing. An explicit ``max_horizon`` refuses a longer horizon.
     """
     if max_horizon is not None and params.T > max_horizon:
         raise InputError(f"enumeration refused: T={params.T} exceeds budget {max_horizon}")
-    lattice = StoppingLattice(params)
+    lattice = kept_lattice(params)
     return lattice.distribution(lattice.node_rule(feats, theta))

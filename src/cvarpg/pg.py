@@ -40,6 +40,14 @@ def estimate_batch_gradients(
     losses: (N,) episode losses D; scores: (N, dim) likelihood-ratio
     scores. The excess indicator uses D >= nu. With lam = 0 the theta
     component reduces to the plain score-times-return estimate.
+
+    The theta component is two BLAS gemv calls over the batch. From about
+    15 000 episodes OpenBLAS splits them across threads, so the bits of
+    ``g_theta`` then depend on ``OPENBLAS_NUM_THREADS`` (a certified-instance
+    batch of the shipped 34-weight map gave equal bytes under 1 and 2
+    threads at 12 000 episodes, different ones at 15 000). A batch below
+    that, such as the shipped configs' 100, gives the same bits on any
+    thread count.
     """
     losses = np.asarray(losses, dtype=float)
     scores = np.asarray(scores, dtype=float)

@@ -22,10 +22,13 @@ A_t*S + G_t*inc mod 2^128 with constants A_t = M^t and G_t = 1 + M + ...
 + M^(t-1) (Brown 1994). A block of up to 2048 rows, one row per episode
 of each run, gets its first ``stride`` states by these jumps at once and
 every later state by one jump of ``stride`` steps, then the XSL-RR
-output. A block's (rows, stride) integer temporaries stay within 2048 x 8
-words: the stride is all m uniforms, in one pass, when a block's rows x m
-fits in that, as for one 100-episode training batch at m = 40, and 8
-otherwise, as for a full block. There is no per-episode Python work.
+output. The stride is all m uniforms, in one pass, when a block's rows x m
+is at most 8192 words, as for a 2-iteration chunk of 100-episode training
+batches at m = 40, and 8 otherwise, as for a 4-iteration chunk or a full
+block, whose (rows, 8) integer temporaries stay within 2048 x 8 words. One
+pass measured faster than stride 8 up to about 9 000 words and slower from
+about 10 000 on, at m = 40 and at m = 20. There is no per-episode Python
+work.
 """
 from __future__ import annotations
 
@@ -67,11 +70,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# episodes per block, and uniforms per jump of a block whose uniforms do not
-# fit in one pass: (block, stride) temporaries of at most _CELLS words stay in cache
+# episodes per block, and uniforms per jump of a block that does not take
+# them in one pass: (block, stride) temporaries of at most 2048 x 8 words
 _EPISODE_BLOCK = 2048
 _STRIDE = 8
-_CELLS = _EPISODE_BLOCK * _STRIDE
+# the most words (rows x m) of a block that takes its uniforms in one pass
+_ONE_PASS = 8192
 
 
 def _words(token: int) -> list[int]:
@@ -183,9 +187,9 @@ def _block_uniforms(seed_state: list, out: np.ndarray) -> None:
     inc = ((q_hi << np.uint64(1)) | (q_lo >> np.uint64(63)), (q_lo << np.uint64(1)) | np.uint64(1))
     state = _add128(_mul128(_add128(inc, (s_hi, s_lo)), _split([_PCG_MULT])), inc)
     # the first stride states at once, then stride steps at a time; a block
-    # whose m columns fit in _CELLS words takes them in one pass
+    # of at most _ONE_PASS words takes its m columns in one pass
     rows, m = out.shape
-    stride = m if rows * m <= _CELLS else _STRIDE
+    stride = m if rows * m <= _ONE_PASS else _STRIDE
     mults, incs = _jumps(stride)
     state = _add128(_mul128(state, mults), _mul128(inc, incs))
     stride_inc = _mul128(inc, incs[:, -1:])

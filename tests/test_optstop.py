@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cvarpg import optstop
 from cvarpg.errors import InputError
 from cvarpg.features import AxisScale, action_blocks
-from cvarpg.lattice import StoppingLattice
+from cvarpg.lattice import StoppingLattice, kept_lattice
 from cvarpg.mdp import AugmentedCostMode, AugmentedEnv, AugState
 from cvarpg.optstop import (
     ACCEPT,
@@ -25,7 +25,7 @@ from cvarpg.optstop import (
     rollout_batch,
     rollout_batch_augmented,
 )
-from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, value_at_risk
+from cvarpg.risk import EmpiricalDistribution, RiskSpec, cvar, tail_probability, value_at_risk
 from cvarpg.schedules import Box
 from cvarpg.seeding import substream, substream_uniforms
 from oracles import discounted_loss, enumerate_trajectories, rollout, trade_off_certificate
@@ -241,14 +241,7 @@ def test_node_rule_featurizes_all_nodes_in_one_call(monkeypatch):
     params = OptStopParams(T=12)
     feats = OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0))
     theta = np.random.default_rng(5).normal(0.0, 1.0, feats.dim)
-    rows = []
-    original = OptStopPolicyFeatures.per_action_batch
-
-    def counted(self, c, k, s=None):
-        rows.append(len(c))
-        return original(self, c, k, s)
-
-    monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", counted)
+    rows = _counting_per_action_batch(monkeypatch)
     rule = StoppingLattice(params).node_rule(feats, theta, 5.0)
     assert rows == [params.T * (params.T + 1) // 2]
     # node (k, u) is the raw state with cost c0 f_u^u f_d^(k-u) and budget s_k
@@ -260,6 +253,129 @@ def test_node_rule_featurizes_all_nodes_in_one_call(monkeypatch):
             assert rule[k, u] == pytest.approx(probs[ACCEPT] / probs.sum(), rel=1e-12)
         s = (s - params.p_h) / params.gamma
     assert np.all(rule[params.T] == 1.0)
+
+
+def _counting_per_action_batch(monkeypatch) -> list:
+    """Spy on ``OptStopPolicyFeatures.per_action_batch``: the row count of each call."""
+    rows = []
+    original = OptStopPolicyFeatures.per_action_batch
+
+    def counted(self, c, k, s=None):
+        rows.append(len(c))
+        return original(self, c, k, s)
+
+    monkeypatch.setattr(OptStopPolicyFeatures, "per_action_batch", counted)
+    return rows
+
+
+CERTIFIED = OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)  # criterion 6's instance
+
+
+def test_repeated_enumerations_featurize_a_budget_blind_map_once(monkeypatch):
+    rows = _counting_per_action_batch(monkeypatch)
+    nodes = CERTIFIED.T * (CERTIFIED.T + 1) // 2
+    blind = OptStopPolicyFeatures(CERTIFIED, scale=8.0)
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        enumerate_loss_distribution(blind, rng.normal(0.0, 0.2, blind.dim), CERTIFIED)
+    assert rows == [nodes]
+    # a budget-aware map featurizes the nodes on every call, as its budget follows s0
+    rows.clear()
+    aware = OptStopPolicyFeatures(CERTIFIED, include_s=True, s_range=(0.0, 16.0))
+    lattice = kept_lattice(CERTIFIED)
+    for s0 in (1.0, 2.0, 2.0):
+        lattice.node_rule(aware, rng.normal(0.0, 0.2, aware.dim), s0)
+    assert rows == [nodes] * 3
+    with pytest.raises(InputError):
+        lattice.node_rule(aware, np.zeros(aware.dim))  # the budget-aware policy needs s0
+
+
+def test_kept_lattice_and_node_rows_are_read_only():
+    lattice = kept_lattice(CERTIFIED)
+    assert kept_lattice(OptStopParams(T=20, p_h=0.01, f_d=0.7, p=0.4)) is lattice
+    arrays = {name: a for name, a in vars(lattice).items() if isinstance(a, np.ndarray)}
+    assert {"cost", "loss", "valid", "decision_cost", "node_losses", "node_atom"} <= set(arrays)
+    feats = OptStopPolicyFeatures(CERTIFIED)
+    arrays["node_blocks"] = feats.node_blocks(lattice)
+    assert feats.node_blocks(lattice) is arrays["node_blocks"]
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a.reshape(-1)[0] = a.reshape(-1)[0]
+
+
+def _distribution_by_unique(lattice, rule) -> EmpiricalDistribution:
+    """The reference pass: every node's weight, then one ``np.unique`` of the kept losses."""
+    p, T = lattice.params, lattice.params.T
+    weights = np.zeros((T + 1, T + 1))
+    reach = np.ones(1)
+    for k in range(T + 1):
+        accept = np.ones(k + 1) if k == T else rule[k, :k + 1]
+        weights[k, :k + 1] = reach * accept
+        carry = reach * (1.0 - accept)
+        reach = np.zeros(k + 2)
+        reach[1:] += p.p * carry
+        reach[:-1] += (1.0 - p.p) * carry
+    keep = lattice.valid & (weights > 0.0)
+    losses, atom = np.unique(lattice.loss[keep], return_inverse=True)
+    w = np.bincount(atom, weights=weights[keep])
+    return EmpiricalDistribution(losses, w / w.sum())
+
+
+def _same_figures(got: EmpiricalDistribution, want: EmpiricalDistribution):
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    for alpha in (0.9, 0.95):
+        assert cvar(got, alpha).hex() == cvar(want, alpha).hex()
+        assert value_at_risk(got, alpha).hex() == value_at_risk(want, alpha).hex()
+    for beta in (1.5, 2.5):
+        assert tail_probability(got, beta).hex() == tail_probability(want, beta).hex()
+
+
+@pytest.mark.parametrize("T", [12, 15, 20])
+@pytest.mark.parametrize("problem", [dict(p_h=0.01, f_d=0.7, p=0.4), {}],
+                         ids=["certified", "defaults"])
+def test_kept_lattice_matches_a_fresh_one_byte_for_byte(T, problem):
+    params = OptStopParams(T=T, **problem)
+    kept = kept_lattice(params)
+    blind = OptStopPolicyFeatures(params, scale=8.0)
+    aware = OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0))
+    rng = np.random.default_rng(T)
+    for _ in range(20):
+        theta = rng.normal(0.0, 0.3, blind.dim)
+        theta[-1] += rng.uniform(0.0, 3.0) / blind.scale
+        fresh = StoppingLattice(params)
+        rule = fresh.node_rule(OptStopPolicyFeatures(params, scale=8.0), theta)
+        want = fresh.distribution(rule)
+        _same_figures(enumerate_loss_distribution(blind, theta, params), want)
+        _same_figures(want, _distribution_by_unique(fresh, rule))
+        theta, s0 = rng.normal(0.0, 0.3, aware.dim), rng.uniform(0.0, 8.0)
+        rule = fresh.node_rule(OptStopPolicyFeatures(params, include_s=True, s_range=(0.0, 16.0)),
+                               theta, s0)
+        want = fresh.distribution(rule)
+        _same_figures(kept.distribution(kept.node_rule(aware, theta, s0)), want)
+        _same_figures(want, _distribution_by_unique(fresh, rule))
+    for accept in (0.5, 1.0, 0.0):  # enumerate-oracle's three rules
+        rule = np.full(kept.loss.shape, accept)
+        _same_figures(kept.distribution(rule), StoppingLattice(params).distribution(rule))
+        _same_figures(kept.distribution(rule), _distribution_by_unique(kept, rule))
+
+
+def test_one_map_keeps_separate_node_rows_per_problem(monkeypatch):
+    rows = _counting_per_action_batch(monkeypatch)
+    feats = OptStopPolicyFeatures(CERTIFIED, scale=8.0)
+    theta = np.random.default_rng(4).normal(0.0, 0.3, feats.dim)
+    first, second = kept_lattice(CERTIFIED), kept_lattice(OptStopParams(T=15))
+    blocks = [feats.node_blocks(lattice) for lattice in (first, second, first, second)]
+    assert rows == [210, 120]
+    assert blocks[0] is blocks[2] and blocks[1] is blocks[3]
+    for lattice, kept in zip((first, second), blocks):
+        want = OptStopPolicyFeatures(CERTIFIED, scale=8.0).per_action_batch(
+            lattice.decision_cost, lattice.decision_k)
+        assert kept.tobytes() == want.tobytes()
+        got = enumerate_loss_distribution(feats, theta, lattice.params)
+        _same_figures(got, StoppingLattice(lattice.params).distribution(
+            StoppingLattice(lattice.params).node_rule(OptStopPolicyFeatures(CERTIFIED, scale=8.0),
+                                                      theta)))
 
 
 def test_budget_aware_features_refuse_a_missing_budget():

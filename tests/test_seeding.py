@@ -19,6 +19,11 @@ def _one_at_a_time(seed, path, n, m):
     (0, 5, 40),
     (2**32 - 3, 6, 7),   # a last path part below 2^32 is one entropy word,
     (2**32 + 11, 3, 2),  # one above it two, just before the episode index
+    # the most episodes whose uniforms take one pass, and one more
+    (0, seeding._ONE_PASS // 40, 40),
+    (0, seeding._ONE_PASS // 40 + 1, 40),
+    (0, seeding._ONE_PASS // 20, 20),
+    (0, seeding._ONE_PASS // 20 + 1, 20),
 ])
 def test_uniforms_equal_the_substreams(seed, path, tail, n, m):
     path = (*path, tail)
@@ -70,13 +75,14 @@ def test_uniforms_with_the_index_at_every_entropy_position(monkeypatch, seed, pa
         return jumps(t_max)
 
     monkeypatch.setattr(seeding, "_jumps", recording)
+    for m in (40, 20):
+        one_pass = seeding._ONE_PASS // m  # the most episodes whose m uniforms take one pass
+        for n, in_one_pass in ((3, True), (one_pass, True), (one_pass + 1, False)):
+            strides.clear()
+            got = substream_uniforms(seed, path, n, m)
+            assert (strides == [m]) is in_one_pass
+            assert np.array_equal(got, _one_at_a_time(seed, path, n, m))
     m = 40
-    one_pass = seeding._CELLS // m  # the most episodes whose m uniforms take one pass
-    for n, in_one_pass in ((3, True), (one_pass, True), (one_pass + 1, False)):
-        strides.clear()
-        got = substream_uniforms(seed, path, n, m)
-        assert (strides == [m]) is in_one_pass
-        assert np.array_equal(got, _one_at_a_time(seed, path, n, m))
     # a range of run indices, one more word before the episode index, is the
     # stack of the calls per index; 3 runs of 1000 episodes cross a block
     for runs in (range(0, 3), range(5, 6), range(2**32 - 2, 2**32)):
