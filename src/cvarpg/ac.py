@@ -24,6 +24,18 @@ The loop featurizes each state once. A state's critic features carry
 over from the step that reached it, and a policy map on the critic's
 grid builds a decision state's features from them. The quantile step
 reads both perturbed initial states from one ``at_initial`` call.
+
+A step's cost is the fixed overhead of its calls, so each call is kept
+lean, bit for bit. One decision takes ``policy``'s one-decision branch:
+its softmax runs one gemv, one exp and one divide, its draw runs on Python
+floats, and its score is the chosen row less one einsum. A budget-aware
+critic keeps, by (c, k) and for its
+lifetime, the cost and step terms of each RBF centre's squared distance
+(4 x 4 doubles with the shipped 4 centres per axis), so a state or a
+perturbed initial budget adds only its budget term; at T = 20 a map that
+visits every reachable cost keeps at most 888 of them (758 on criterion
+6's instance), 0.42 and 0.33 MB. A budget-blind critic keeps its whole rows
+by (c, k).
 """
 from __future__ import annotations
 

@@ -68,7 +68,7 @@ class RbfGrid:
         spacing = 1.0 / (centers_per_dim - 1) if centers_per_dim > 1 else 1.0
         self.width = width_scale * spacing
         # -d2 / (2 w^2) equals d2 / (-2 w^2) bit for bit: negation is exact
-        self._neg_two_w2 = -(2.0 * self.width**2)
+        self.neg_two_w2 = -(2.0 * self.width**2)
         self.n_features = self.centers.shape[0] + 1
 
     def __call__(self, z) -> np.ndarray:
@@ -80,7 +80,7 @@ class RbfGrid:
         Z = np.asarray(Z, dtype=float)
         d2 = ((Z[:, None, :] - self.centers) ** 2).sum(axis=2)
         out = np.empty((Z.shape[0], self.n_features))
-        out[:, :-1] = np.exp(d2 / self._neg_two_w2)
+        out[:, :-1] = np.exp(d2 / self.neg_two_w2)
         out[:, -1] = 1.0
         return out
 

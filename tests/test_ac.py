@@ -528,7 +528,9 @@ def test_one_grid_call_per_actor_critic_state(monkeypatch, algorithm, centers):
     # on one grid the policy reads a decision state's row from the critic's
     # features, the quantile step reads both perturbed budgets from one call,
     # and a budget-blind map builds a state's row on its first visit only;
-    # on two grids the policy builds its own rows, one per_action a decision
+    # on two grids the policy builds its own rows, one per_action a decision.
+    # A budget-aware critic builds its rows from kept (c, k) distances, one
+    # _exponents call a state or a quantile step, and calls no grid
     cfg = _certified_config(algorithm, **{"features.policy_centers": centers,
                                           "features.critic_centers": 4})
     calls, visits, on = Counter(), [], [False]
@@ -552,6 +554,8 @@ def test_one_grid_call_per_actor_critic_state(monkeypatch, algorithm, centers):
             on[0] = False
 
     monkeypatch.setattr(RbfGrid, "batch", spy("grid", RbfGrid.batch))
+    monkeypatch.setattr(OptStopCriticFeatures, "_exponents",
+                        spy("exponents", OptStopCriticFeatures._exponents))
     monkeypatch.setattr(OptStopPolicyFeatures, "per_action",
                         spy("per_action", OptStopPolicyFeatures.per_action))
     monkeypatch.setattr(OptStopCriticFeatures, "at_initial",
@@ -570,4 +574,5 @@ def test_one_grid_call_per_actor_critic_state(monkeypatch, algorithm, centers):
     critic = len(visits) if aware else len(set(visits))
     policy = 0 if centers == 4 else len(decisions) if aware else len(set(decisions))
     raw_critic = len(set(visits)) if algorithm == "AC_CVAR_ALT" else 0
-    assert calls["grid"] == critic + policy + raw_critic + nu_steps
+    assert calls["grid"] + calls["exponents"] == critic + policy + raw_critic + nu_steps
+    assert calls["exponents"] == (critic + nu_steps if aware else 0)

@@ -875,6 +875,35 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+@pytest.mark.parametrize("params, centers", [
+    (OptStopParams(p_h=0.01, f_d=0.7, p=0.4), 4), (PAPER, 4), (PAPER, 3)])
+def test_budget_aware_critic_rows_equal_the_grid_rows(params, centers):
+    # a budget-aware critic adds each state's budget term to the cost and step
+    # terms it keeps by (c, k); every row of every reachable cost must still
+    # equal RbfGrid.batch's row and the knot hinges, sign bits included
+    critic = OptStopCriticFeatures(params, centers_per_dim=centers)
+    lo, hi = critic.s_axis.lo, critic.s_axis.hi
+    budgets = [0.0, -0.0, -7.3, 0.4, 13.0, lo, hi, lo - 5.0, hi + 5.0, -1e300, 1e300]
+    nb, ni = critic.rbf.n_features, critic.n_interior
+    c = np.concatenate(cost_table(params)[0])
+    k = np.repeat(np.arange(params.T + 1), [len(ck) for ck in cost_table(params)[0]])
+    for s in budgets:  # every (c, k) is kept from the first budget on
+        z = np.stack(critic._unit_inputs(c, k, np.full(len(c), s)), axis=1)
+        expected = np.zeros((len(c), critic.dim))
+        expected[:, :nb] = critic.rbf.batch(z)
+        expected[:, nb:ni] = np.maximum(critic.knots - s / c[:, None], 0.0)
+        rows = np.array([critic(AugState(OptStopState(ci, ki), s))
+                         for ci, ki in zip(c.tolist(), k.tolist())])
+        assert rows.tobytes() == expected.tobytes()
+        assert critic.at_initial(s).tobytes() == expected[0].tobytes()
+    for a, b in itertools.product(budgets, repeat=2):
+        pair = critic.at_initial((a, b))
+        assert pair.tobytes() == np.stack([critic.at_initial(a), critic.at_initial(b)]).tobytes()
+    assert len(critic._cost_step_d2) == len(c)
+    with pytest.raises(ValueError):
+        critic._cost_step_d2[params.c0, 0][0, 0] = 0.0
+
+
 def test_one_state_featurizers_equal_the_batch_path():
     # the actor-critic featurizes one state per call; its one-state path must
     # give the batch path's numbers bit for bit, or training would drift
